@@ -469,6 +469,59 @@ let runtime_bitslice_vs_scalar =
       List.for_all blocked_matches [ 1; 62; 63; 64; 126; 127 ]
       && List.for_all partial_block_matches [ 1; 17; 62 ])
 
+(* --- fixed-memory histograms ------------------------------------------- *)
+
+(* Positive samples, log-uniform over 10 ns .. 1000 s (inside the
+   histogram's bucketed range), some of them repeated so that ranks
+   straddle crowded buckets. Every percentile must lie within the
+   relative error [Histogram] states of the exact nearest-rank value,
+   p0/p100 must be exact, and merging two histograms must give what
+   observing both sample sets into one gives. *)
+let gen_latency =
+  let open Gen in
+  let* e = float_range (-8.0) 3.0 in
+  let* copies = frequency [ (4, return 1); (1, int_range 2 8) ] in
+  return (List.init copies (fun _ -> 10.0 ** e))
+
+let gen_samples lo hi =
+  let open Gen in
+  let* n = int_range lo hi in
+  map List.concat (list_n n gen_latency)
+
+let histogram_ranks = 0.1 :: 99.9 :: List.init 101 float_of_int
+
+let runtime_histogram_bound =
+  let module H = Runtime.Histogram in
+  let hist xs =
+    let h = H.create () in
+    List.iter (H.observe h) xs;
+    h
+  in
+  let bounded xs h =
+    List.for_all
+      (fun p ->
+        let exact = Util.Stats.percentile p xs in
+        Float.abs (H.percentile h p -. exact) <= H.relative_error *. exact)
+      histogram_ranks
+  in
+  let exact_ends xs h =
+    H.percentile h 0.0 = Util.Stats.percentile 0.0 xs
+    && H.percentile h 100.0 = Util.Stats.percentile 100.0 xs
+  in
+  let print_samples xs = String.concat ";" (List.map (Printf.sprintf "%.17g") xs) in
+  Runner.make ~name:"runtime/histogram-bound" ~count:60
+    (Arb.make
+       ~shrink:(Shrink.pair (fun xs -> Shrink.list xs) (fun xs -> Shrink.list xs))
+       ~print:(fun (a, b) -> Printf.sprintf "a=[%s] b=[%s]" (print_samples a) (print_samples b))
+       (Gen.pair (gen_samples 1 150) (gen_samples 0 150)))
+    (fun (a, b) ->
+      let ha = hist a and hb = hist b and both = hist (a @ b) in
+      let merged = H.merge ha hb in
+      bounded a ha && bounded (a @ b) both && exact_ends a ha && exact_ends (a @ b) both
+      && H.count merged = H.count both
+      && H.percentiles merged histogram_ranks = H.percentiles both histogram_ranks
+      && Float.abs (H.sum merged -. H.sum both) <= 1e-9 *. H.sum both)
+
 (* --- serve wire codec --------------------------------------------------- *)
 
 (* A frame case is either a well-formed message or a mangling of one:
@@ -892,6 +945,7 @@ let all =
     fpga_inverter_absorption;
     trace_wellformed;
     runtime_bitslice_vs_scalar;
+    runtime_histogram_bound;
     serve_codec_roundtrip;
     classify_mapped_vs_reference;
     assess_run_roundtrip;

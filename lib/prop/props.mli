@@ -5,6 +5,7 @@
     maps, crossbar resolve vs switch-level simulation, folding witnesses,
     FPGA inverter absorption, trace well-formedness over random span
     programs, bit-sliced blocked evaluation against scalar [Pla.eval],
+    fixed-memory histogram percentiles against exact nearest rank,
     totality of the serve wire codec, and lossless total parsing of
     benchmark run artifacts. *)
 
@@ -19,5 +20,6 @@ val all : Runner.t list
     [atpg/full-coverage], [repair/defect-map-revalidation],
     [crossbar/resolve-vs-hw], [folding/witness-valid],
     [fpga/inverter-absorption], [trace/wellformed],
-    [runtime/bitslice-vs-scalar], [serve/codec-roundtrip],
+    [runtime/bitslice-vs-scalar], [runtime/histogram-bound],
+    [serve/codec-roundtrip],
     [assess/run-roundtrip]. *)

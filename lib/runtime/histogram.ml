@@ -1,76 +1,166 @@
-(* A latency histogram that stores every observation (the workloads here
-   observe thousands of samples, not millions) and answers percentile
-   queries with exactly the same rank convention as {!Util.Stats.percentile},
-   so metrics dumps agree with offline analysis of the raw samples.
+(* A fixed-memory latency histogram: geometric buckets with growth factor
+   [gamma] from [min_value] (1 ns) to [max_value] (10^4 s), one int count
+   each, so a long-running daemon's histograms stay the same size however
+   many requests it serves. A percentile finds the bucket holding the
+   nearest-rank sample (the {!Util.Stats.percentile} convention) and
+   answers that bucket's representative, the point whose relative
+   distance to both bucket edges is (gamma - 1) / (gamma + 1) — the
+   DDSketch construction — clamped to the exact [min, max].
 
-   Thread-safe: a private mutex guards the growable sample buffer, so
-   workers on different domains can observe into one histogram. *)
+   Thread-safe without a shared hot lock: a histogram is [n_shards]
+   shards, each with its own mutex, buckets and exact fields, and a
+   domain observes into the shard its id selects, so pool workers on
+   different domains do not contend. A shard's buckets are allocated on
+   its first observation. Reads lock the shards one at a time and merge
+   them into a [frozen] copy. [observe] computes the bucket index before
+   it takes the lock and does nothing inside it that can raise or
+   allocate (the exact sum/min/max sit in a flat float array), so it
+   needs no [Fun.protect]. *)
 
-type t = {
-  mutable samples : float array;
-  mutable len : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
+let gamma = 1.02
+let log_gamma = log gamma
+let min_value = 1e-9
+let max_value = 1e4
+let relative_error = (gamma -. 1.0) /. (gamma +. 1.0)
+
+(* Bucket 0 is the zero bucket (everything <= min_value, and NaN);
+   bucket i >= 1 holds (min_value * gamma^(i-1), min_value * gamma^i];
+   the top bucket also takes everything >= max_value. *)
+let n_buckets = 1 + int_of_float (ceil (log (max_value /. min_value) /. log_gamma))
+
+let bucket_of x =
+  if not (x > min_value) then 0
+  else if x >= max_value then n_buckets - 1
+  else max 1 (int_of_float (ceil (log (x /. min_value) /. log_gamma)))
+
+let representative =
+  Array.init n_buckets (fun i ->
+      if i = 0 then 0.0 else min_value *. (gamma ** float_of_int i) *. 2.0 /. (gamma +. 1.0))
+
+(* Slots of [exact]. *)
+let sum_slot = 0
+let min_slot = 1
+let max_slot = 2
+
+type shard = {
   lock : Mutex.t;
+  mutable counts : int array;  (* [no_counts] until the first observation *)
+  mutable n : int;
+  exact : float array;  (* sum, min, max *)
 }
 
-let create () =
-  {
-    samples = Array.make 64 0.0;
-    len = 0;
-    sum = 0.0;
-    lo = infinity;
-    hi = neg_infinity;
-    lock = Mutex.create ();
-  }
+let no_counts = [||]
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+(* A power of two, so the shard index is a mask of the domain id. *)
+let n_shards = 8
+
+type t = shard array
+
+let fresh_exact () = [| 0.0; infinity; neg_infinity |]
+
+let create () =
+  Array.init n_shards (fun _ ->
+      { lock = Mutex.create (); counts = no_counts; n = 0; exact = fresh_exact () })
+
+let allocate_counts s =
+  let counts = Array.make n_buckets 0 in
+  Mutex.lock s.lock;
+  if s.counts == no_counts then s.counts <- counts;
+  Mutex.unlock s.lock
 
 let observe t x =
-  locked t (fun () ->
-      if t.len = Array.length t.samples then begin
-        let bigger = Array.make (2 * Array.length t.samples) 0.0 in
-        Array.blit t.samples 0 bigger 0 t.len;
-        t.samples <- bigger
-      end;
-      t.samples.(t.len) <- x;
-      t.len <- t.len + 1;
-      t.sum <- t.sum +. x;
-      if x < t.lo then t.lo <- x;
-      if x > t.hi then t.hi <- x)
+  let b = bucket_of x in
+  let s = t.((Domain.self () :> int) land (n_shards - 1)) in
+  if s.counts == no_counts then allocate_counts s;
+  Mutex.lock s.lock;
+  s.counts.(b) <- s.counts.(b) + 1;
+  s.n <- s.n + 1;
+  s.exact.(sum_slot) <- s.exact.(sum_slot) +. x;
+  if x < s.exact.(min_slot) then s.exact.(min_slot) <- x;
+  if x > s.exact.(max_slot) then s.exact.(max_slot) <- x;
+  Mutex.unlock s.lock
 
-let count t = locked t (fun () -> t.len)
+let observe_since t t0 =
+  observe t (Int64.to_float (Int64.sub (Obs.Clock.monotonic ()) t0) *. 1e-9)
 
-let sum t = locked t (fun () -> t.sum)
+let time t f =
+  let t0 = Obs.Clock.monotonic () in
+  match f () with
+  | v ->
+    observe_since t t0;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    observe_since t t0;
+    Printexc.raise_with_backtrace e bt
 
-let mean t = locked t (fun () -> if t.len = 0 then 0.0 else t.sum /. float_of_int t.len)
+let locked s f =
+  Mutex.lock s.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-let snapshot t = locked t (fun () -> Array.sub t.samples 0 t.len)
+(* --- reads ------------------------------------------------------------- *)
 
-(* Same nearest-rank definition as Util.Stats.percentile. *)
-let percentile_of_sorted a p =
-  let n = Array.length a in
-  if n = 0 then 0.0
+(* Every shard of one histogram folded together. *)
+type frozen = { f_counts : int array; f_n : int; f_sum : float; f_min : float; f_max : float }
+
+let freeze t =
+  let counts = Array.make n_buckets 0 in
+  let n = ref 0 and sum = ref 0.0 and lo = ref infinity and hi = ref neg_infinity in
+  Array.iter
+    (fun s ->
+      locked s (fun () ->
+          if s.n > 0 then begin
+            Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.counts;
+            n := !n + s.n;
+            sum := !sum +. s.exact.(sum_slot);
+            lo := Float.min !lo s.exact.(min_slot);
+            hi := Float.max !hi s.exact.(max_slot)
+          end))
+    t;
+  { f_counts = counts; f_n = !n; f_sum = !sum; f_min = !lo; f_max = !hi }
+
+let merge a b =
+  let fa = freeze a and fb = freeze b in
+  let t = create () in
+  let s = t.(0) in
+  s.counts <- Array.map2 ( + ) fa.f_counts fb.f_counts;
+  s.n <- fa.f_n + fb.f_n;
+  s.exact.(sum_slot) <- fa.f_sum +. fb.f_sum;
+  s.exact.(min_slot) <- Float.min fa.f_min fb.f_min;
+  s.exact.(max_slot) <- Float.max fa.f_max fb.f_max;
+  t
+
+let count t = Array.fold_left (fun acc s -> acc + locked s (fun () -> s.n)) 0 t
+
+let sum t = Array.fold_left (fun acc s -> acc +. locked s (fun () -> s.exact.(sum_slot))) 0.0 t
+
+let frozen_mean f = if f.f_n = 0 then 0.0 else f.f_sum /. float_of_int f.f_n
+
+let mean t = frozen_mean (freeze t)
+
+(* Nearest-rank percentile. Ranks at or beyond either end are the exact
+   extremes. *)
+let frozen_percentile f p =
+  if f.f_n = 0 then 0.0
   else begin
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int f.f_n)) in
+    if rank <= 1 then f.f_min
+    else if rank >= f.f_n then f.f_max
+    else begin
+      let b = ref 0 and seen = ref f.f_counts.(0) in
+      while !seen < rank do
+        incr b;
+        seen := !seen + f.f_counts.(!b)
+      done;
+      Float.min f.f_max (Float.max f.f_min representative.(!b))
+    end
   end
 
-let percentile t p =
-  let a = snapshot t in
-  Array.sort Float.compare a;
-  percentile_of_sorted a p
+let percentile t p = frozen_percentile (freeze t) p
 
 let percentiles t ps =
-  (* One snapshot, one sort, however many ranks — so a percentile family
-     (p50/p95/p99) is consistent: every rank is read off the same frozen
-     sample set even while other domains keep observing. *)
-  let a = snapshot t in
-  Array.sort Float.compare a;
-  List.map (fun p -> (p, percentile_of_sorted a p)) ps
+  let f = freeze t in
+  List.map (fun p -> (p, frozen_percentile f p)) ps
 
 type summary = {
   n : int;
@@ -83,27 +173,29 @@ type summary = {
 }
 
 let summarize t =
-  let a = snapshot t in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  if n = 0 then { n = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0; p99 = 0.0 }
+  let f = freeze t in
+  if f.f_n = 0 then { n = 0; mean = 0.0; min = 0.0; max = 0.0; p50 = 0.0; p95 = 0.0; p99 = 0.0 }
   else
     {
-      n;
-      mean = Array.fold_left ( +. ) 0.0 a /. float_of_int n;
-      min = a.(0);
-      max = a.(n - 1);
-      p50 = percentile_of_sorted a 50.0;
-      p95 = percentile_of_sorted a 95.0;
-      p99 = percentile_of_sorted a 99.0;
+      n = f.f_n;
+      mean = frozen_mean f;
+      min = f.f_min;
+      max = f.f_max;
+      p50 = frozen_percentile f 50.0;
+      p95 = frozen_percentile f 95.0;
+      p99 = frozen_percentile f 99.0;
     }
 
 let reset t =
-  locked t (fun () ->
-      t.len <- 0;
-      t.sum <- 0.0;
-      t.lo <- infinity;
-      t.hi <- neg_infinity)
+  Array.iter
+    (fun s ->
+      locked s (fun () ->
+          Array.fill s.counts 0 (Array.length s.counts) 0;
+          s.n <- 0;
+          s.exact.(sum_slot) <- 0.0;
+          s.exact.(min_slot) <- infinity;
+          s.exact.(max_slot) <- neg_infinity))
+    t
 
 let pp_summary fmt s =
   Format.fprintf fmt "n=%d mean=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g" s.n s.mean

@@ -2,11 +2,14 @@
    (instantaneous, settable or computed by callback) and latency
    histograms. One registry per service; a process-wide [global] registry
    is provided for convenience and is what the CLI's [--metrics] flag
-   dumps.
+   dumps. Histograms are fixed-memory log-bucket sketches
+   ({!Histogram}), so a registry's size depends on how many metrics it
+   names, never on how many samples they have seen.
 
    All mutation paths are safe to call from any domain: counters are
-   [Atomic], histograms carry their own lock, and the name table is
-   guarded by the registry mutex. *)
+   [Atomic], histograms carry their own shard locks, and the name table is
+   guarded by the registry mutex. Hot paths resolve their handles once
+   ([counter], [gauge], [histogram]) and skip the name lookup. *)
 
 type counter = int Atomic.t
 
@@ -73,12 +76,6 @@ let observe t name x = Histogram.observe (histogram t name) x
    duration histogram named after it, so traces and metrics stay in one
    registry without [obs] depending on [runtime]. *)
 let span_observer t ~name ~dur_s = observe t ("span." ^ name) dur_s
-
-let time t name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> observe t name (Unix.gettimeofday () -. t0))
-    f
 
 (* --- dump ------------------------------------------------------------- *)
 

@@ -2,9 +2,11 @@
     histograms, all safe to mutate from any domain.
 
     Counters are monotone and atomic; gauges hold an instantaneous value
-    or a callback evaluated at dump time; histograms are
-    {!Histogram.t}s keyed by name. {!dump} renders the whole registry as
-    sorted text, one metric per line. *)
+    or a callback evaluated at dump time; histograms are fixed-memory
+    {!Histogram.t}s keyed by name. Every find-or-create takes the
+    registry lock, so hot paths resolve their handles once and keep
+    them. {!dump} renders the whole registry as sorted text, one metric
+    per line. *)
 
 type t
 
@@ -44,6 +46,7 @@ val read_gauge : gauge -> float
 (** {2 Histograms} *)
 
 val histogram : t -> string -> Histogram.t
+(** Find-or-create by name. {!Histogram.time} times a thunk into it. *)
 
 val observe : t -> string -> float -> unit
 (** Observe into the named histogram (created on first use). *)
@@ -52,10 +55,6 @@ val span_observer : t -> name:string -> dur_s:float -> unit
 (** Observer for {!Obs.Trace.set_observer}: records each completed span's
     duration (seconds) into the histogram [span.<name>], creating it on
     first use. *)
-
-val time : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk, observing its wall-clock duration (seconds) into the
-    named histogram, whether it returns or raises. *)
 
 (** {2 Reporting} *)
 

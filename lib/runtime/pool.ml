@@ -43,6 +43,14 @@ type task = {
   poison : exn -> Printexc.raw_backtrace -> unit;
 }
 
+(* Per-task metric handles, resolved once at [create] so submitting and
+   running a task never looks a name up under the registry lock. *)
+type instruments = {
+  tasks : Metrics.counter;
+  queue_depth : Metrics.gauge;
+  task_latency : Histogram.t;
+}
+
 type t = {
   lock : Mutex.t;
   nonempty : Condition.t;
@@ -56,6 +64,7 @@ type t = {
   mutable crashes : int;
   jobs : int;
   metrics : Metrics.t option;
+  instruments : instruments option;
 }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
@@ -83,8 +92,8 @@ let rec worker pool i =
     if Queue.is_empty pool.queue && pool.stopping then Mutex.unlock pool.lock
     else begin
       let task = Queue.pop pool.queue in
-      (match pool.metrics with
-      | Some m -> Metrics.set_gauge (Metrics.gauge m "pool.queue_depth") (float_of_int (Queue.length pool.queue))
+      (match pool.instruments with
+      | Some ins -> Metrics.set_gauge ins.queue_depth (float_of_int (Queue.length pool.queue))
       | None -> ());
       Mutex.unlock pool.lock;
       let t0 = Unix.gettimeofday () in
@@ -151,6 +160,15 @@ let create ?metrics ?jobs () =
       crashes = 0;
       jobs;
       metrics;
+      instruments =
+        Option.map
+          (fun m ->
+            {
+              tasks = Metrics.counter m "pool.tasks";
+              queue_depth = Metrics.gauge m "pool.queue_depth";
+              task_latency = Metrics.histogram m "pool.task_latency_s";
+            })
+          metrics;
     }
   in
   pool.domains <- List.init jobs (fun i -> Domain.spawn (fun () -> worker pool i));
@@ -177,9 +195,9 @@ let submit pool f =
     resolve outcome
   in
   let run =
-    match pool.metrics with
+    match pool.instruments with
     | None -> run
-    | Some m -> fun () -> Metrics.time m "pool.task_latency_s" run
+    | Some ins -> fun () -> Histogram.time ins.task_latency run
   in
   let poison e bt = resolve (Failed (e, bt)) in
   Mutex.lock pool.lock;
@@ -190,10 +208,10 @@ let submit pool f =
   let index = pool.next_index in
   pool.next_index <- index + 1;
   Queue.push { index; run; poison } pool.queue;
-  (match pool.metrics with
-  | Some m ->
-    Metrics.incr (Metrics.counter m "pool.tasks");
-    Metrics.set_gauge (Metrics.gauge m "pool.queue_depth") (float_of_int (Queue.length pool.queue))
+  (match pool.instruments with
+  | Some ins ->
+    Metrics.incr ins.tasks;
+    Metrics.set_gauge ins.queue_depth (float_of_int (Queue.length pool.queue))
   | None -> ());
   Condition.signal pool.nonempty;
   Mutex.unlock pool.lock;

@@ -35,14 +35,30 @@ type stats = {
   fallback_evals : int;
 }
 
+(* The registry is the one record of what the daemon did: [stats] reads
+   these counter handles, resolved once at [create] so the request path
+   never looks a name up. Active sessions are opened minus ended. *)
+type counters = {
+  sessions : Metrics.counter;
+  sessions_ended : Metrics.counter;
+  requests : Metrics.counter;
+  responses_ok : Metrics.counter;
+  request_errors : Metrics.counter;
+  request_crashes : Metrics.counter;
+  session_errors : Metrics.counter;
+  decode_errors : Metrics.counter;
+  vectors : Metrics.counter;
+  fallback_evals : Metrics.counter;
+}
+
 type t = {
   cfg : config;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
   pool : Runtime.Pool.t;
   admission : Admission.t;
   tenants : Tenants.t;
-  lock : Mutex.t;
-  mutable st : stats;
+  c : counters;
+  eval_latency : Runtime.Histogram.t;
   stop_flag : bool Atomic.t;
   mutable sock_path : string option;  (* set while [run_unix] is live *)
 }
@@ -54,27 +70,31 @@ let create ?metrics cfg =
   if cfg.chunk_vectors < 1 then invalid_arg "Server.create: chunk_vectors < 1";
   if cfg.max_batch < 1 then invalid_arg "Server.create: max_batch < 1";
   if cfg.max_frame < Wire.header_bytes then invalid_arg "Server.create: max_frame too small";
-  let pool = Runtime.Pool.create ?metrics ?jobs:cfg.jobs () in
-  let admission = Admission.create ?metrics ~queue_limit:cfg.queue_limit ~max_inflight:cfg.max_inflight () in
-  let tenants = Tenants.create ?metrics ~max_tenants:cfg.max_tenants ~quota:cfg.tenant_quota () in
+  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let pool = Runtime.Pool.create ~metrics ?jobs:cfg.jobs () in
+  let admission = Admission.create ~metrics ~queue_limit:cfg.queue_limit ~max_inflight:cfg.max_inflight () in
+  let tenants = Tenants.create ~metrics ~max_tenants:cfg.max_tenants ~quota:cfg.tenant_quota () in
+  let counter name = Metrics.counter metrics ("serve." ^ name) in
   {
     cfg;
     metrics;
     pool;
     admission;
     tenants;
-    lock = Mutex.create ();
-    st =
+    c =
       {
-        sessions_active = 0;
-        sessions_total = 0;
-        requests = 0;
-        responses_ok = 0;
-        request_errors = 0;
-        session_errors = 0;
-        vectors_evaluated = 0;
-        fallback_evals = 0;
+        sessions = counter "sessions";
+        sessions_ended = counter "sessions_ended";
+        requests = counter "requests";
+        responses_ok = counter "responses_ok";
+        request_errors = counter "request_errors";
+        request_crashes = counter "request_crashes";
+        session_errors = counter "session_errors";
+        decode_errors = counter "decode_errors";
+        vectors = counter "vectors";
+        fallback_evals = counter "fallback_evals";
       };
+    eval_latency = Metrics.histogram metrics "serve.eval_latency_s";
     stop_flag = Atomic.make false;
     sock_path = None;
   }
@@ -85,19 +105,21 @@ let tenants t = t.tenants
 let pool t = t.pool
 
 let stats t =
-  Mutex.lock t.lock;
-  let s = t.st in
-  Mutex.unlock t.lock;
-  s
-
-let bump t f =
-  Mutex.lock t.lock;
-  t.st <- f t.st;
-  Mutex.unlock t.lock
-
-let tick t name = match t.metrics with Some m -> Metrics.incr_named m name | None -> ()
-
-let observe t name v = match t.metrics with Some m -> Metrics.observe m name v | None -> ()
+  let c = t.c in
+  (* ended before opened: a session is counted opened before it can
+     end, so the difference never reads negative *)
+  let ended = Metrics.count c.sessions_ended in
+  let sessions_total = Metrics.count c.sessions in
+  {
+    sessions_active = sessions_total - ended;
+    sessions_total;
+    requests = Metrics.count c.requests;
+    responses_ok = Metrics.count c.responses_ok;
+    request_errors = Metrics.count c.request_errors;
+    session_errors = Metrics.count c.session_errors;
+    vectors_evaluated = Metrics.count c.vectors;
+    fallback_evals = Metrics.count c.fallback_evals;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Request pipeline: admit -> parse -> compile -> eval.               *)
@@ -129,8 +151,7 @@ let evaluator t tcache cover =
       match Cache.compile_of_pla_hit tcache pla with
       | compiled, hit -> (Compiled compiled, hit)
       | exception Cache.Corrupt_entry _ ->
-        bump t (fun s -> { s with fallback_evals = s.fallback_evals + 1 });
-        tick t "serve.fallback_evals";
+        Metrics.incr t.c.fallback_evals;
         (Uncompiled pla, false)))
 
 (* The classifier registry: model name -> lowered crossbar. Lowering
@@ -178,7 +199,7 @@ let eval_engine t engine batch =
     in
     let block_words =
       if n >= parallel_threshold && n_blocks > 0 then
-        Runtime.Batch.map ?metrics:t.metrics t.pool eval_block (Array.init n_blocks Fun.id)
+        Runtime.Batch.map ~metrics:t.metrics t.pool eval_block (Array.init n_blocks Fun.id)
       else Array.init n_blocks eval_block
     in
     let tail =
@@ -193,7 +214,7 @@ let eval_engine t engine batch =
     let eval_row i = Cnfet.Pla.eval pla (Wire.matrix_row batch i) in
     let rows =
       if n >= parallel_threshold then
-        Runtime.Batch.map ?metrics:t.metrics t.pool eval_row (Array.init n Fun.id)
+        Runtime.Batch.map ~metrics:t.metrics t.pool eval_row (Array.init n Fun.id)
       else Array.init n eval_row
     in
     Wire.matrix_init ~rows:n ~width:(Cnfet.Pla.num_outputs pla) (fun r o -> rows.(r).(o))
@@ -203,8 +224,7 @@ let eval_engine t engine batch =
    other sessions keep going. [f] gets the admitted batch size and runs
    the request-specific parse/compile/eval. *)
 let admitted t ~batch f =
-  bump t (fun s -> { s with requests = s.requests + 1 });
-  tick t "serve.requests";
+  Metrics.incr t.c.requests;
   match Obs.Span.with_ "serve.admit" (fun () -> Admission.admit t.admission) with
   | Admission.Shed { queued; inflight } -> One (Wire.Overloaded { queued; inflight })
   | Admission.Admitted -> (
@@ -223,13 +243,13 @@ let admitted t ~batch f =
     | reply -> reply
     | exception Reject (code, message) -> One (Wire.Error_response { code; message })
     | exception e ->
-      tick t "serve.request_crashes";
+      Metrics.incr t.c.request_crashes;
       One (Wire.Error_response { code = Wire.Internal; message = Printexc.to_string e }))
 
 (* Compile [cover] through the tenant's cache and evaluate the batch
    through the bit-sliced path, timing the whole thing. *)
 let compile_and_eval t ~tenant ~batch ~n cover =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.monotonic () in
   let engine, cache_hit =
     Obs.Span.with_ ~args:[ ("tenant", tenant) ] "serve.compile" (fun () ->
         evaluator t (Tenants.cache t.tenants tenant) cover)
@@ -238,11 +258,10 @@ let compile_and_eval t ~tenant ~batch ~n cover =
     Obs.Span.with_ ~args:[ ("vectors", string_of_int n) ] "serve.eval" (fun () ->
         eval_engine t engine batch)
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  observe t "serve.eval_latency_s" dt;
-  bump t (fun s -> { s with vectors_evaluated = s.vectors_evaluated + n });
-  (match t.metrics with Some m -> Metrics.incr_named ~by:n m "serve.vectors" | None -> ());
-  Stream { outputs; cache_hit; eval_ns = Int64.of_float (dt *. 1e9) }
+  let eval_ns = Int64.sub (Obs.Clock.monotonic ()) t0 in
+  Runtime.Histogram.observe t.eval_latency (Int64.to_float eval_ns *. 1e-9);
+  Metrics.incr ~by:n t.c.vectors;
+  Stream { outputs; cache_hit; eval_ns }
 
 let process t ~tenant ~program ~batch =
   admitted t ~batch (fun n ->
@@ -273,7 +292,7 @@ let process_classify t ~tenant ~model ~batch =
 let write_reply t oc = function
   | One msg ->
     (match msg with
-    | Wire.Error_response _ -> bump t (fun s -> { s with request_errors = s.request_errors + 1 })
+    | Wire.Error_response _ -> Metrics.incr t.c.request_errors
     | _ -> ());
     Obs.Span.with_ "serve.encode" (fun () -> Wire.write_message oc msg)
   | Stream { outputs; cache_hit; eval_ns } ->
@@ -289,12 +308,10 @@ let write_reply t oc = function
           first := !first + len
         done;
         Wire.write_message oc (Wire.Eval_done { total = n; cache_hit; eval_ns }));
-    bump t (fun s -> { s with responses_ok = s.responses_ok + 1 })
+    Metrics.incr t.c.responses_ok
 
 let serve_session t ic oc =
-  bump t (fun s ->
-      { s with sessions_active = s.sessions_active + 1; sessions_total = s.sessions_total + 1 });
-  tick t "serve.sessions";
+  Metrics.incr t.c.sessions;
   let outcome =
     try
       Obs.Span.with_ "serve.session" (fun () ->
@@ -306,7 +323,7 @@ let serve_session t ic oc =
             | `Eof -> `Clean
             | `Error e ->
               (* framing is lost; tell the client why, then hang up *)
-              tick t "serve.decode_errors";
+              Metrics.incr t.c.decode_errors;
               (try
                  Wire.write_message oc
                    (Wire.Error_response
@@ -323,7 +340,7 @@ let serve_session t ic oc =
               write_reply t oc (process_classify t ~tenant ~model ~batch);
               loop ()
             | `Msg other ->
-              bump t (fun s -> { s with request_errors = s.request_errors + 1 });
+              Metrics.incr t.c.request_errors;
               Wire.write_message oc
                 (Wire.Error_response
                    {
@@ -340,10 +357,8 @@ let serve_session t ic oc =
   in
   (match outcome with
   | `Clean -> ()
-  | `Decode_error | `Disconnected ->
-    bump t (fun s -> { s with session_errors = s.session_errors + 1 });
-    tick t "serve.session_errors");
-  bump t (fun s -> { s with sessions_active = s.sessions_active - 1 })
+  | `Decode_error | `Disconnected -> Metrics.incr t.c.session_errors);
+  Metrics.incr t.c.sessions_ended
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle.                                                         *)

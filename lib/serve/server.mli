@@ -33,8 +33,9 @@ val default_config : config
 type t
 
 val create : ?metrics:Runtime.Metrics.t -> config -> t
-(** Builds the pool, admission controller and tenant table. The server
-    owns its pool; {!stop} drains it. *)
+(** Builds the pool, admission controller and tenant table, all
+    recording into [metrics] (a private registry when omitted). The
+    server owns its pool; {!stop} drains it. *)
 
 val config : t -> config
 
@@ -82,3 +83,7 @@ type stats = {
 }
 
 val stats : t -> stats
+(** A view over the registry's [serve.*] counters (active sessions are
+    [serve.sessions] minus [serve.sessions_ended]), so two servers
+    sharing one registry share their counts, and {!Runtime.Metrics.reset}
+    zeroes them. *)

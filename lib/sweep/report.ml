@@ -26,13 +26,6 @@ let fronts items =
 
 type stage_stat = { st_name : string; st_count : int; st_p50_s : float; st_p95_s : float }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
 let stage_stats items =
   let order = ref [] in
   let pools : (string, float list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -54,8 +47,8 @@ let stage_stats items =
       {
         st_name = name;
         st_count = Array.length samples;
-        st_p50_s = percentile samples 50.0;
-        st_p95_s = percentile samples 95.0;
+        st_p50_s = Util.Stats.percentile_sorted 50.0 samples;
+        st_p95_s = Util.Stats.percentile_sorted 95.0 samples;
       })
     !order
 

@@ -22,14 +22,17 @@ let min_max = function
   | x :: xs ->
     List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
 
-let percentile p = function
-  | [] -> 0.
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    let n = Array.length a in
+let percentile_sorted p a =
+  let n = Array.length a in
+  if n = 0 then 0.
+  else
     let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
     a.(max 0 (min (n - 1) (rank - 1)))
+
+let percentile p xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  percentile_sorted p a
 
 let ratio a b = if b = 0. then 0. else a /. b
 

@@ -13,7 +13,13 @@ val min_max : float list -> float * float
 (** Smallest and largest sample. Raises [Invalid_argument] on empty input. *)
 
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0,100\]], nearest-rank method. *)
+(** [percentile p xs] with [p] in [\[0,100\]], nearest-rank method: the
+    sample of rank [ceil (p/100 * n)], clamped to [\[1, n\]]; 0. on the
+    empty list. *)
+
+val percentile_sorted : float -> float array -> float
+(** {!percentile} on an array already sorted ascending, without copying
+    or sorting it. *)
 
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], or 0. when [b = 0.]. *)

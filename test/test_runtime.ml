@@ -300,6 +300,13 @@ let test_block_corruption_detected () =
 
 (* --- Metrics -------------------------------------------------------------- *)
 
+(* The histogram keeps buckets, not samples, so a percentile matches the
+   exact nearest-rank value only within the relative error its interface
+   states. *)
+let check_within_bound name exact got =
+  if Float.abs (got -. exact) > Histogram.relative_error *. Float.abs exact then
+    Alcotest.failf "%s: %g is not within %g of %g" name got Histogram.relative_error exact
+
 let test_histogram_percentiles_match_stats () =
   let h = Histogram.create () in
   (* Deterministic but unordered samples. *)
@@ -309,12 +316,79 @@ let test_histogram_percentiles_match_stats () =
   checki "count" 137 (Histogram.count h);
   List.iter
     (fun p ->
-      checkf (Printf.sprintf "p%g" p) (Util.Stats.percentile p samples)
+      check_within_bound (Printf.sprintf "p%g" p) (Util.Stats.percentile p samples)
         (Histogram.percentile h p))
     [ 0.0; 25.0; 50.0; 90.0; 95.0; 99.0; 100.0 ];
   let s = Histogram.summarize h in
-  checkf "summary p50" (Util.Stats.percentile 50.0 samples) s.Histogram.p50;
-  checkf "summary p99" (Util.Stats.percentile 99.0 samples) s.Histogram.p99
+  check_within_bound "summary p50" (Util.Stats.percentile 50.0 samples) s.Histogram.p50;
+  check_within_bound "summary p99" (Util.Stats.percentile 99.0 samples) s.Histogram.p99;
+  checkf "p0 exact" (Util.Stats.percentile 0.0 samples) (Histogram.percentile h 0.0);
+  checkf "p100 exact" (Util.Stats.percentile 100.0 samples) (Histogram.percentile h 100.0)
+
+let test_histogram_fixed_memory () =
+  let h = Histogram.create () in
+  let feed from upto =
+    for i = from to upto do
+      Histogram.observe h (float_of_int (i mod 9973) *. 1e-6)
+    done
+  in
+  feed 1 1_000;
+  let words = Obj.reachable_words (Obj.repr h) in
+  feed 1_001 1_000_000;
+  checki "samples kept" 1_000_000 (Histogram.count h);
+  checki "same reachable words after 10^3 and 10^6 samples" words
+    (Obj.reachable_words (Obj.repr h))
+
+let test_histogram_across_domains () =
+  (* Each domain observes into a shard of its own; reads must see every
+     shard, exactly as if one domain had observed everything. *)
+  let per_domain = 5_000 in
+  let sample d i = float_of_int (((d * 7919) + (i * 104729)) mod 100_003) *. 1e-7 in
+  let h = Histogram.create () in
+  let domains =
+    Array.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              Histogram.observe h (sample d i)
+            done))
+  in
+  Array.iter Domain.join domains;
+  let serial = Histogram.create () in
+  let all = ref [] in
+  for d = 0 to 3 do
+    for i = 1 to per_domain do
+      Histogram.observe serial (sample d i);
+      all := sample d i :: !all
+    done
+  done;
+  checki "every shard counted" (4 * per_domain) (Histogram.count h);
+  let ranks = [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] in
+  checkb "same percentiles as one domain" true
+    (Histogram.percentiles h ranks = Histogram.percentiles serial ranks);
+  List.iter
+    (fun p ->
+      check_within_bound (Printf.sprintf "p%g" p) (Util.Stats.percentile p !all)
+        (Histogram.percentile h p))
+    ranks
+
+let test_histogram_zero_bucket () =
+  (* A stepped clock can hand back negative durations; they share the
+     zero bucket with 0 and stay exact at the ends. *)
+  let h = Histogram.create () in
+  List.iter (Histogram.observe h) [ -1e-3; 0.0; 0.0; 5.0 ];
+  checkf "p0 is the negative minimum" (-1e-3) (Histogram.percentile h 0.0);
+  checkf "p50 in the zero bucket" 0.0 (Histogram.percentile h 50.0);
+  checkf "p100 is the maximum" 5.0 (Histogram.percentile h 100.0);
+  checkf "sum exact" (5.0 -. 1e-3) (Histogram.sum h)
+
+let test_histogram_time_monotonic () =
+  let h = Histogram.create () in
+  checki "returns the thunk's value" 7 (Histogram.time h (fun () -> 7));
+  (match Histogram.time h (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "expected the thunk's exception"
+  | exception Failure _ -> ());
+  checki "observed on return and on raise" 2 (Histogram.count h);
+  checkb "durations never negative" true (Histogram.percentile h 0.0 >= 0.0)
 
 let test_metrics_counters_and_gauges () =
   let m = Metrics.create () in
@@ -536,6 +610,10 @@ let () =
             test_histogram_percentiles_match_stats;
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_and_gauges;
           Alcotest.test_case "pool instrumentation" `Quick test_pool_records_metrics;
+          Alcotest.test_case "histogram memory is fixed" `Quick test_histogram_fixed_memory;
+          Alcotest.test_case "histogram shards across domains" `Quick test_histogram_across_domains;
+          Alcotest.test_case "histogram zero bucket" `Quick test_histogram_zero_bucket;
+          Alcotest.test_case "histogram time" `Quick test_histogram_time_monotonic;
           Alcotest.test_case "empty histogram" `Quick test_histogram_empty;
           Alcotest.test_case "single-sample histogram" `Quick test_histogram_single_sample;
           Alcotest.test_case "percentile clamping" `Quick test_histogram_percentile_clamps;

@@ -220,7 +220,14 @@ let test_stats_min_max () =
 let test_stats_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   checkf "p50" 50. (Util.Stats.percentile 50. xs);
-  checkf "p100" 100. (Util.Stats.percentile 100. xs)
+  checkf "p100" 100. (Util.Stats.percentile 100. xs);
+  let sorted = Array.of_list xs in
+  List.iter
+    (fun p ->
+      checkf (Printf.sprintf "sorted p%g" p) (Util.Stats.percentile p xs)
+        (Util.Stats.percentile_sorted p sorted))
+    [ -5.; 0.; 0.5; 25.; 99.9; 100.; 150. ];
+  checkf "sorted empty" 0. (Util.Stats.percentile_sorted 50. [||])
 
 let test_stats_summary () =
   let s = Util.Stats.summarize [ 1.; 2.; 3. ] in
