@@ -1,26 +1,17 @@
 (* Injectable time sources for the tracing layer.
 
-   A clock is just [unit -> int64] nanoseconds. The real clock is derived
-   from [Unix.gettimeofday] but clamped through an [Atomic] high-water
-   mark so consecutive readings never go backwards (gettimeofday may step
-   under NTP adjustment); the trace validator relies on per-track
-   monotonicity. The fixed-step double returns a deterministic arithmetic
-   sequence, which makes trace output byte-for-byte reproducible in
-   tests. *)
+   A clock is just [unit -> int64] nanoseconds. The real clock reads the
+   operating system's monotonic clock (CLOCK_MONOTONIC on Linux, through
+   bechamel's [Monotonic_clock] stub): it never goes backwards and no
+   wall-clock step (NTP, an operator's [date -s]) moves it, so a
+   duration read on it is the time that passed. The trace validator
+   relies on per-track monotonicity. The fixed-step double returns a
+   deterministic arithmetic sequence, which makes trace output
+   byte-for-byte reproducible in tests. *)
 
 type t = unit -> int64
 
-let monotonic =
-  let last = Atomic.make 0L in
-  fun () ->
-    let now = Int64.of_float (Unix.gettimeofday () *. 1e9) in
-    let rec clamp () =
-      let prev = Atomic.get last in
-      if Int64.compare now prev <= 0 then prev
-      else if Atomic.compare_and_set last prev now then now
-      else clamp ()
-    in
-    clamp ()
+let monotonic () = Monotonic_clock.now ()
 
 let fixed_step ?(start_ns = 0L) ?(step_ns = 1000L) () =
   if Int64.compare step_ns 0L < 0 then invalid_arg "Clock.fixed_step: negative step";

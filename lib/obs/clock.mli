@@ -7,8 +7,10 @@
 type t = unit -> int64
 
 val monotonic : t
-(** Wall-clock derived, clamped through a process-wide high-water mark so
-    it never goes backwards. Shared by all callers. *)
+(** The operating system's monotonic clock, in nanoseconds from an
+    arbitrary origin: it never decreases and wall-clock steps do not
+    move it, so differences of two readings are elapsed time. Shared by
+    all callers. *)
 
 val fixed_step : ?start_ns:int64 -> ?step_ns:int64 -> unit -> t
 (** Deterministic test double: successive calls return [start_ns],

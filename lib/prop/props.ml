@@ -644,6 +644,129 @@ let serve_codec_roundtrip =
         | exception _ -> false)
       | Cc_garbage s -> total_decode s)
 
+(* --- serve bit-matrix transposes ----------------------------------------- *)
+
+(* A request matrix of random raw bytes (padding bits included, as a
+   client may send them), a gather window, random output lane words for
+   the scatter (garbage in the last block's unused lanes included), and
+   a reply chunk size. *)
+type transpose_case = {
+  tc_rows : int;
+  tc_width : int;
+  tc_data : string;  (* rows * stride raw bytes *)
+  tc_first : int;
+  tc_lanes : int;
+  tc_blocks : int array array;  (* ceil (rows/63) blocks of width words *)
+  tc_chunk : int;
+}
+
+let gen_transpose_case =
+  let open Gen in
+  let lanes_max = Runtime.Cache.lanes_per_word in
+  let* width = int_range 0 70 in
+  let* rows = frequency [ (2, int_range 0 20); (3, int_range 50 140); (2, int_range 170 260) ] in
+  let stride = Serve.Wire.matrix_stride width in
+  let* bytes = list_n (rows * stride) (map Char.chr (int_range 0 255)) in
+  let* lanes = int_range 1 (max 1 (min lanes_max rows)) in
+  let* first = int_range 0 (max 0 (rows - lanes)) in
+  let piece = int_range 0 ((1 lsl 21) - 1) in
+  let word = map2 (fun (a, b) c -> (a lsl 42) lor (b lsl 21) lor c) (pair piece piece) piece in
+  let* blocks = array_n ((rows + lanes_max - 1) / lanes_max) (array_n width word) in
+  let* chunk = int_range 1 (rows + 2) in
+  return
+    {
+      tc_rows = rows;
+      tc_width = width;
+      tc_data = String.of_seq (List.to_seq bytes);
+      tc_first = first;
+      tc_lanes = min lanes rows;
+      tc_blocks = blocks;
+      tc_chunk = chunk;
+    }
+
+let print_transpose_case c =
+  Printf.sprintf "rows=%d width=%d first=%d lanes=%d chunk=%d" c.tc_rows c.tc_width c.tc_first
+    c.tc_lanes c.tc_chunk
+
+(* The matrix as the server would receive it: decoded from a frame, so
+   padding bits above the width survive. *)
+let decoded_matrix c =
+  let b = Buffer.create (String.length c.tc_data + 17) in
+  Buffer.add_int32_be b (Int32.of_int (13 + String.length c.tc_data));
+  Buffer.add_uint8 b 0x43;
+  Buffer.add_uint8 b Serve.Wire.version;
+  Buffer.add_uint8 b 0x81;
+  Buffer.add_int32_be b 0l;
+  Buffer.add_int32_be b (Int32.of_int c.tc_rows);
+  Buffer.add_uint16_be b c.tc_width;
+  Buffer.add_string b c.tc_data;
+  match Serve.Wire.decode (Buffer.contents b) with
+  | Ok (Serve.Wire.Result_chunk { outputs; _ }, _) -> outputs
+  | _ -> failwith "decoded_matrix: frame did not decode"
+
+(* Bytes [Wire.write_result_chunks] puts on a real channel. *)
+let written_chunks ~chunk m =
+  let path = Filename.temp_file "wire-chunks" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Serve.Wire.write_result_chunks oc ~chunk m);
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* [Wire.matrix_block] and [Wire.matrix_of_blocks] move bits eight rows
+   by eight columns through an 8x8 transpose; both must agree with a
+   per-bit reference at every width (0-70 straddles the byte
+   boundaries), lane count (1-63) and row count, and gathering every
+   block then scattering it back must give the matrix with its padding
+   cleared. The reply chunk writer must put the same bytes on the
+   channel as encoding each [Result_chunk] slice. *)
+let serve_matrix_transpose =
+  Runner.make ~name:"serve/matrix-transpose" ~count:150
+    (Arb.make ~print:print_transpose_case gen_transpose_case)
+    (fun c ->
+      let module W = Serve.Wire in
+      let lanes_max = Runtime.Cache.lanes_per_word in
+      let rows = c.tc_rows and width = c.tc_width in
+      let m = decoded_matrix c in
+      let stride = W.matrix_stride width in
+      let bit r i = Char.code c.tc_data.[(r * stride) + (i / 8)] land (1 lsl (i mod 8)) <> 0 in
+      let block_ref ~first ~lanes =
+        Array.init width (fun i ->
+            let w = ref 0 in
+            for v = 0 to lanes - 1 do
+              if bit (first + v) i then w := !w lor (1 lsl v)
+            done;
+            !w)
+      in
+      let windows =
+        Array.init ((rows + lanes_max - 1) / lanes_max) (fun b ->
+            let first = b * lanes_max in
+            (first, min lanes_max (rows - first)))
+      in
+      let gathered = Array.map (fun (first, lanes) -> W.matrix_block m ~first ~lanes) windows in
+      let scatter_ref =
+        W.matrix_init ~rows ~width (fun r i ->
+            (c.tc_blocks.(r / lanes_max).(i) lsr (r mod lanes_max)) land 1 = 1)
+      in
+      let chunks_ref =
+        let out = Buffer.create 256 in
+        let first = ref 0 in
+        while !first < rows do
+          let len = min c.tc_chunk (rows - !first) in
+          Buffer.add_string out
+            (W.encode
+               (W.Result_chunk { first = !first; outputs = W.matrix_sub m ~first:!first ~len }));
+          first := !first + len
+        done;
+        Buffer.contents out
+      in
+      W.matrix_block m ~first:c.tc_first ~lanes:c.tc_lanes
+      = block_ref ~first:c.tc_first ~lanes:c.tc_lanes
+      && Array.for_all2 (fun (first, lanes) words -> words = block_ref ~first ~lanes) windows gathered
+      && W.matrix_of_blocks ~rows ~width c.tc_blocks = scatter_ref
+      && W.matrix_of_blocks ~rows ~width gathered = W.matrix_init ~rows ~width bit
+      && String.equal (written_chunks ~chunk:c.tc_chunk m) chunks_ref)
+
 (* --- assess run artifacts ---------------------------------------------- *)
 
 type run_case =
@@ -947,6 +1070,7 @@ let all =
     runtime_bitslice_vs_scalar;
     runtime_histogram_bound;
     serve_codec_roundtrip;
+    serve_matrix_transpose;
     classify_mapped_vs_reference;
     assess_run_roundtrip;
     sweep_pipeline_equivalence;

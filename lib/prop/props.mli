@@ -6,7 +6,8 @@
     FPGA inverter absorption, trace well-formedness over random span
     programs, bit-sliced blocked evaluation against scalar [Pla.eval],
     fixed-memory histogram percentiles against exact nearest rank,
-    totality of the serve wire codec, and lossless total parsing of
+    totality of the serve wire codec, the serve bit-matrix transposes
+    against a per-bit reference, and lossless total parsing of
     benchmark run artifacts. *)
 
 val all : Runner.t list
@@ -21,5 +22,5 @@ val all : Runner.t list
     [crossbar/resolve-vs-hw], [folding/witness-valid],
     [fpga/inverter-absorption], [trace/wellformed],
     [runtime/bitslice-vs-scalar], [runtime/histogram-bound],
-    [serve/codec-roundtrip],
+    [serve/codec-roundtrip], [serve/matrix-transpose],
     [assess/run-roundtrip]. *)

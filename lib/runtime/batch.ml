@@ -40,9 +40,10 @@ let map ?chunk ?metrics pool f items =
     @@ fun () ->
     (match metrics with
     | Some m ->
-      Metrics.incr (Metrics.counter m "batch.jobs");
-      Metrics.incr ~by:n (Metrics.counter m "batch.items");
-      Metrics.incr ~by:n_chunks (Metrics.counter m "batch.chunks")
+      let c = Metrics.batch_counters m in
+      Metrics.incr c.Metrics.jobs;
+      Metrics.incr ~by:n c.Metrics.items;
+      Metrics.incr ~by:n_chunks c.Metrics.chunks
     | None -> ());
     let results = Array.make n None in
     let failure = Array.make n_chunks None in

@@ -17,11 +17,14 @@ type gauge_value = Set of float | Callback of (unit -> float)
 
 type gauge = { mutable value : gauge_value }
 
+type batch_counters = { jobs : counter; items : counter; chunks : counter }
+
 type t = {
   lock : Mutex.t;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
+  batch : batch_counters option Atomic.t;  (* resolved on first [Batch.map] *)
 }
 
 let create () =
@@ -30,6 +33,7 @@ let create () =
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
+    batch = Atomic.make None;
   }
 
 let global = create ()
@@ -57,6 +61,22 @@ let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
 let incr_named ?by t name = incr ?by (counter t name)
 
 let count c = Atomic.get c
+
+(* Interned by name like any counter, so two domains racing here build
+   records of the same handles and either may win. *)
+let batch_counters t =
+  match Atomic.get t.batch with
+  | Some b -> b
+  | None ->
+    let b =
+      {
+        jobs = counter t "batch.jobs";
+        items = counter t "batch.items";
+        chunks = counter t "batch.chunks";
+      }
+    in
+    Atomic.set t.batch (Some b);
+    b
 
 let gauge t name = intern t.gauges t.lock name (fun () -> { value = Set 0.0 })
 

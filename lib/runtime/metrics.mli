@@ -30,6 +30,15 @@ val incr_named : ?by:int -> t -> string -> unit
 
 val count : counter -> int
 
+type batch_counters = { jobs : counter; items : counter; chunks : counter }
+(** The [batch.jobs], [batch.items] and [batch.chunks] counters that
+    {!Batch.map} bumps. *)
+
+val batch_counters : t -> batch_counters
+(** The registry's {!batch_counters}, interned on first use and cached,
+    so later calls cost one atomic load instead of three name lookups
+    under the registry lock. *)
+
 (** {2 Gauges} *)
 
 type gauge

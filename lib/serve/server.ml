@@ -181,35 +181,30 @@ type reply =
   | Stream of { outputs : Wire.matrix; cache_hit : bool; eval_ns : int64 }
   | One of Wire.message
 
-(* The compiled fast path: full 63-vector blocks gather straight from
-   the request matrix's packed bytes ([Wire.matrix_block]) into the
-   bit-sliced evaluator — no bool-array round-trip — with one pool item
-   per block when the batch is big enough, then the ragged tail runs
-   scalar. The reply matrix is assembled from the lane words directly. *)
+(* The compiled path: every 63-vector block, the last one partial
+   ([lanes < 63]), is gathered straight from the request matrix's packed
+   bytes into lane words ([Wire.matrix_block]) and evaluated bit-sliced,
+   with one pool item per block when the batch is big enough. The reply
+   matrix comes straight from the output lane words
+   ([Wire.matrix_of_blocks]); both directions use the 8x8 bit-transpose
+   kernel, and no vector runs through the scalar evaluator. *)
 let eval_engine t engine batch =
   let n = Wire.matrix_rows batch in
   match engine with
   | Compiled compiled ->
-    let lanes = Cache.lanes_per_word in
-    let n_blocks = n / lanes in
-    let n_full = n_blocks * lanes in
+    let lanes_max = Cache.lanes_per_word in
+    let n_blocks = (n + lanes_max - 1) / lanes_max in
     let eval_block b =
-      Cache.eval_block compiled
-        { Cache.words = Wire.matrix_block batch ~first:(b * lanes) ~lanes; lanes }
+      let first = b * lanes_max in
+      let lanes = min lanes_max (n - first) in
+      Cache.eval_block compiled { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes }
     in
-    let block_words =
-      if n >= parallel_threshold && n_blocks > 0 then
+    let blocks =
+      if n >= parallel_threshold then
         Runtime.Batch.map ~metrics:t.metrics t.pool eval_block (Array.init n_blocks Fun.id)
       else Array.init n_blocks eval_block
     in
-    let tail =
-      Array.init (n - n_full) (fun i ->
-          Cache.eval compiled (Wire.matrix_row batch (n_full + i)))
-    in
-    let n_out = Cnfet.Pla.num_outputs (Cache.pla compiled) in
-    Wire.matrix_init ~rows:n ~width:n_out (fun r o ->
-        if r < n_full then block_words.(r / lanes).(o) land (1 lsl (r mod lanes)) <> 0
-        else tail.(r - n_full).(o))
+    Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled)) blocks
   | Uncompiled pla ->
     let eval_row i = Cnfet.Pla.eval pla (Wire.matrix_row batch i) in
     let rows =
@@ -296,18 +291,12 @@ let write_reply t oc = function
     | _ -> ());
     Obs.Span.with_ "serve.encode" (fun () -> Wire.write_message oc msg)
   | Stream { outputs; cache_hit; eval_ns } ->
+    (* every chunk frame is buffered; [write_message] flushes the reply
+       once, with its [Eval_done] *)
     Obs.Span.with_ "serve.encode" (fun () ->
-        let n = Wire.matrix_rows outputs in
-        let chunk = t.cfg.chunk_vectors in
-        let first = ref 0 in
-        while !first < n do
-          let len = min chunk (n - !first) in
-          Wire.write_message oc
-            (Wire.Result_chunk
-               { first = !first; outputs = Wire.matrix_sub outputs ~first:!first ~len });
-          first := !first + len
-        done;
-        Wire.write_message oc (Wire.Eval_done { total = n; cache_hit; eval_ns }));
+        Wire.write_result_chunks oc ~chunk:t.cfg.chunk_vectors outputs;
+        Wire.write_message oc
+          (Wire.Eval_done { total = Wire.matrix_rows outputs; cache_hit; eval_ns }));
     Metrics.incr t.c.responses_ok
 
 let serve_session t ic oc =

@@ -89,25 +89,171 @@ let matrix_sub m ~first ~len =
   let stride = matrix_stride m.m_width in
   { m_rows = len; m_width = m.m_width; m_data = String.sub m.m_data (first * stride) (len * stride) }
 
-(* Gather rows [first .. first+lanes-1] into transposed lane words —
-   bit v of word c is row (first+v)'s column c — reading the packed
-   bytes directly. This is the serve path's bridge into
-   [Runtime.Cache.eval_block] with no bool-array round-trip. *)
+(* --- word-level gather and scatter ---------------------------------------
+
+   Both directions move bits between wire rows (bit [c] of row [r] in
+   byte [c/8] at position [c mod 8]) and lane words (bit [v] of word [c]
+   is row [v]'s column [c]) eight rows by eight columns at a time: one
+   byte from each of 8 consecutive rows forms an 8x8 bit matrix, and its
+   transpose is one byte per column, each holding those 8 rows' bits.
+
+   The matrix lives in two 32-bit halves so it fits a 63-bit int: [lo]
+   holds rows 0-3 and [hi] rows 4-7, row [i] in byte [i mod 4], column
+   [k] at bit [k] of its byte. [transpose8_half] transposes each 2x2 and
+   then each 4x4 block inside one half (Hacker's Delight, section 7-3);
+   [transpose8_lo] and [transpose8_hi] then swap the off-diagonal 4x4
+   quadrants between the halves. No intermediate exceeds 36 bits. *)
+
+let[@inline] transpose8_half x =
+  let t = (x lxor (x lsr 7)) land 0x00AA00AA in
+  let x = x lxor t lxor (t lsl 7) in
+  let t = (x lxor (x lsr 14)) land 0x0000CCCC in
+  x lxor t lxor (t lsl 14)
+
+(* Arguments are the halves after [transpose8_half]. *)
+let[@inline] transpose8_lo lo hi = lo land 0x0F0F0F0F lor ((hi lsl 4) land 0xF0F0F0F0)
+
+let[@inline] transpose8_hi lo hi = (lo lsr 4) land 0x0F0F0F0F lor (hi land 0xF0F0F0F0)
+
+let[@inline] byte_at s i = Char.code (String.unsafe_get s i)
+
+(* Byte [base] of 4 rows [stride] apart, row [i] in byte [i]. *)
+let[@inline] load4 s base stride =
+  byte_at s base
+  lor (byte_at s (base + stride) lsl 8)
+  lor (byte_at s (base + (2 * stride)) lsl 16)
+  lor (byte_at s (base + (3 * stride)) lsl 24)
+
+(* The inverse of [load4]. *)
+let[@inline] store4 b base stride x =
+  Bytes.unsafe_set b base (Char.unsafe_chr (x land 0xff));
+  Bytes.unsafe_set b (base + stride) (Char.unsafe_chr ((x lsr 8) land 0xff));
+  Bytes.unsafe_set b (base + (2 * stride)) (Char.unsafe_chr ((x lsr 16) land 0xff));
+  Bytes.unsafe_set b (base + (3 * stride)) (Char.unsafe_chr (x lsr 24))
+
+(* Rows [row0 .. row0+3] of a group of [k < 8] rows, packed as [load4]
+   packs them; rows at and past [k] read as zero, so the last group of a
+   63-lane block never loads an 8th row into lane 63. *)
+let[@inline] load_half s ~base ~stride ~k ~row0 =
+  let x = ref 0 in
+  for i = 0 to (if k - row0 < 4 then k - row0 else 4) - 1 do
+    x := !x lor (byte_at s (base + ((row0 + i) * stride)) lsl (8 * i))
+  done;
+  !x
+
+(* Lane-word accessors that treat columns at and above [width] as absent:
+   the last byte column of a row may hold fewer than 8 columns. *)
+let[@inline] store (words : int array) ~width c w = if c < width then Array.unsafe_set words c w
+
+let[@inline] word (words : int array) ~width c = if c < width then Array.unsafe_get words c else 0
+
+let lanes_per_block = Runtime.Cache.lanes_per_word
+
+(* Transposed gather for [Runtime.Cache.eval_block]: bit v of word c is
+   row (first+v)'s column c. For each byte column [j] the block's rows
+   go through the 8x8 transpose in groups of 8 (7 full groups and one of
+   7 for a 63-lane block); the 8 column words accumulate in locals and
+   are stored once. *)
 let matrix_block m ~first ~lanes =
-  if lanes < 0 || lanes > 63 || first < 0 || first + lanes > m.m_rows then
+  if lanes < 0 || lanes > lanes_per_block || first < 0 || first + lanes > m.m_rows then
     invalid_arg "Wire.matrix_block";
-  let stride = matrix_stride m.m_width in
-  let words = Array.make m.m_width 0 in
-  for v = 0 to lanes - 1 do
-    let base = (first + v) * stride in
-    for c = 0 to m.m_width - 1 do
-      let bit =
-        (Char.code (String.unsafe_get m.m_data (base + (c / 8))) lsr (c land 7)) land 1
+  let width = m.m_width in
+  let stride = matrix_stride width in
+  let data = m.m_data in
+  let words = Array.make width 0 in
+  for j = 0 to ((width + 7) / 8) - 1 do
+    let w0 = ref 0 and w1 = ref 0 and w2 = ref 0 and w3 = ref 0 in
+    let w4 = ref 0 and w5 = ref 0 and w6 = ref 0 and w7 = ref 0 in
+    let v0 = ref 0 in
+    while !v0 < lanes do
+      let base = ((first + !v0) * stride) + j in
+      let k = lanes - !v0 in
+      let lo = if k >= 8 then load4 data base stride else load_half data ~base ~stride ~k ~row0:0 in
+      let hi =
+        if k >= 8 then load4 data (base + (4 * stride)) stride
+        else load_half data ~base ~stride ~k ~row0:4
       in
-      Array.unsafe_set words c (Array.unsafe_get words c lor (bit lsl v))
-    done
+      let lo = transpose8_half lo and hi = transpose8_half hi in
+      let tlo = transpose8_lo lo hi and thi = transpose8_hi lo hi in
+      let s = !v0 in
+      w0 := !w0 lor ((tlo land 0xff) lsl s);
+      w1 := !w1 lor (((tlo lsr 8) land 0xff) lsl s);
+      w2 := !w2 lor (((tlo lsr 16) land 0xff) lsl s);
+      w3 := !w3 lor ((tlo lsr 24) lsl s);
+      w4 := !w4 lor ((thi land 0xff) lsl s);
+      w5 := !w5 lor (((thi lsr 8) land 0xff) lsl s);
+      w6 := !w6 lor (((thi lsr 16) land 0xff) lsl s);
+      w7 := !w7 lor ((thi lsr 24) lsl s);
+      v0 := s + 8
+    done;
+    let c0 = 8 * j in
+    store words ~width c0 !w0;
+    store words ~width (c0 + 1) !w1;
+    store words ~width (c0 + 2) !w2;
+    store words ~width (c0 + 3) !w3;
+    store words ~width (c0 + 4) !w4;
+    store words ~width (c0 + 5) !w5;
+    store words ~width (c0 + 6) !w6;
+    store words ~width (c0 + 7) !w7
   done;
   words
+
+(* The inverse of [matrix_block], one block of lane words per 63 rows:
+   for each byte column [j] and 8-lane group, the 8 output words' bytes
+   for those lanes go through the 8x8 transpose and come out as the
+   group's 8 row bytes, written straight into the reply matrix. Columns at and
+   above [width] read as zero, so a row's padding bits stay zero. *)
+let matrix_of_blocks ~rows ~width blocks =
+  if rows < 0 || width < 0 then invalid_arg "Wire.matrix_of_blocks";
+  if Array.length blocks <> (rows + lanes_per_block - 1) / lanes_per_block then
+    invalid_arg "Wire.matrix_of_blocks: block count";
+  Array.iter
+    (fun words ->
+      if Array.length words <> width then invalid_arg "Wire.matrix_of_blocks: block width")
+    blocks;
+  let stride = matrix_stride width in
+  let data = Bytes.make (rows * stride) '\000' in
+  Array.iteri
+    (fun b words ->
+      let first = b * lanes_per_block in
+      let lanes = min lanes_per_block (rows - first) in
+      for j = 0 to ((width + 7) / 8) - 1 do
+        let c0 = 8 * j in
+        let w0 = word words ~width c0 and w1 = word words ~width (c0 + 1) in
+        let w2 = word words ~width (c0 + 2) and w3 = word words ~width (c0 + 3) in
+        let w4 = word words ~width (c0 + 4) and w5 = word words ~width (c0 + 5) in
+        let w6 = word words ~width (c0 + 6) and w7 = word words ~width (c0 + 7) in
+        let v0 = ref 0 in
+        while !v0 < lanes do
+          let s = !v0 in
+          let lo =
+            (w0 lsr s) land 0xff
+            lor (((w1 lsr s) land 0xff) lsl 8)
+            lor (((w2 lsr s) land 0xff) lsl 16)
+            lor (((w3 lsr s) land 0xff) lsl 24)
+          and hi =
+            (w4 lsr s) land 0xff
+            lor (((w5 lsr s) land 0xff) lsl 8)
+            lor (((w6 lsr s) land 0xff) lsl 16)
+            lor (((w7 lsr s) land 0xff) lsl 24)
+          in
+          let lo = transpose8_half lo and hi = transpose8_half hi in
+          let tlo = transpose8_lo lo hi and thi = transpose8_hi lo hi in
+          let base = ((first + s) * stride) + j in
+          if lanes - s >= 8 then begin
+            store4 data base stride tlo;
+            store4 data (base + (4 * stride)) stride thi
+          end
+          else
+            for i = 0 to lanes - s - 1 do
+              let row_byte = if i < 4 then tlo lsr (8 * i) else thi lsr (8 * (i - 4)) in
+              Bytes.unsafe_set data (base + (i * stride)) (Char.unsafe_chr (row_byte land 0xff))
+            done;
+          v0 := s + 8
+        done
+      done)
+    blocks;
+  { m_rows = rows; m_width = width; m_data = Bytes.unsafe_to_string data }
 
 type message =
   | Eval_request of { tenant : string; program : string; batch : matrix }
@@ -349,6 +495,33 @@ let decode ?(limit = default_limit) s =
 let write_message oc msg =
   output_string oc (encode msg);
   flush oc
+
+(* [encode (Result_chunk ...)] for each [chunk]-row slice of [m], built
+   in place: a 17-byte header (length prefix, magic, version, tag, first,
+   rows, width) then the slice's rows straight out of [m_data]. *)
+let write_result_chunks oc ~chunk m =
+  if chunk < 1 then invalid_arg "Wire.write_result_chunks: chunk < 1";
+  if m.m_width > 0xffff || m.m_rows > 0xffff_ffff then
+    invalid_arg "Wire.write_result_chunks: matrix dimensions out of range";
+  let stride = matrix_stride m.m_width in
+  let hdr = Bytes.create 17 in
+  let set_u32 pos v = Bytes.set_int32_be hdr pos (Int32.of_int v) in
+  Bytes.set_uint8 hdr 4 magic;
+  Bytes.set_uint8 hdr 5 version;
+  Bytes.set_uint8 hdr 6 (tag_of_message (Result_chunk { first = 0; outputs = m }));
+  Bytes.set_uint16_be hdr 15 m.m_width;
+  let first = ref 0 in
+  while !first < m.m_rows do
+    let len = min chunk (m.m_rows - !first) in
+    let payload = 13 + (len * stride) in
+    if payload > 0xffff_ffff then invalid_arg "Wire.write_result_chunks: u32 field out of range";
+    set_u32 0 payload;
+    set_u32 7 !first;
+    set_u32 11 len;
+    output oc hdr 0 17;
+    output_substring oc m.m_data (!first * stride) (len * stride);
+    first := !first + len
+  done
 
 let really_read ic n =
   let b = Bytes.create n in

@@ -37,7 +37,7 @@ type matrix = private { m_rows : int; m_width : int; m_data : string }
     of [max 1 (ceil (m_width/8))] bytes each, bit [i] of a row in byte
     [i/8] at position [i mod 8] (LSB-first). Private so the
     length/stride invariant always holds; build with
-    {!matrix_of_vectors} or {!matrix_init}. *)
+    {!matrix_of_vectors}, {!matrix_init} or {!matrix_of_blocks}. *)
 
 val matrix_stride : int -> int
 (** Bytes per row at a given width: [max 1 (ceil (width/8))]. *)
@@ -66,7 +66,21 @@ val matrix_block : matrix -> first:int -> lanes:int -> int array
 (** Transposed gather for the bit-sliced evaluator: word [c] of the
     result packs column [c] of rows [first .. first+lanes-1], row
     [first+v] in bit [v] — the {!Runtime.Cache.block} layout, read
-    straight from the packed bytes. [lanes <= 63]. *)
+    straight from the packed bytes. [lanes <= 63]; bits at and above
+    [lanes] are zero. Eight rows by eight columns move at a time through
+    an 8×8 bit transpose (Hacker's Delight §7-3, on two 32-bit halves),
+    so a 63-lane block is 7 groups of 8 rows and one of 7.
+    @raise Invalid_argument if the rows are out of range. *)
+
+val matrix_of_blocks : rows:int -> width:int -> int array array -> matrix
+(** [matrix_of_blocks ~rows ~width blocks] is the inverse of
+    {!matrix_block}: block [b] holds the lane words of rows
+    [63b .. min rows (63b+63) - 1], bit [v] of word [c] being row
+    [63b+v]'s column [c], and the result is the [rows × width] matrix
+    they describe. The last block may be partial; bits in lanes past
+    [rows] are ignored. Same 8×8 transpose kernel as {!matrix_block}.
+    @raise Invalid_argument unless there are [ceil (rows/63)] blocks of
+    [width] words each. *)
 
 type message =
   | Eval_request of {
@@ -137,6 +151,15 @@ val decode : ?limit:int -> string -> (message * int, error) result
 
 val write_message : out_channel -> message -> unit
 (** Write one frame and flush. *)
+
+val write_result_chunks : out_channel -> chunk:int -> matrix -> unit
+(** Write [m] as consecutive [Result_chunk] frames of [chunk] rows each
+    (the last may be shorter; none for a 0-row matrix), byte-identical to
+    [encode (Result_chunk { first; outputs = matrix_sub m ~first ~len })]
+    for each slice, framed straight from [m]'s bytes with no copy. Does
+    not flush.
+    @raise Invalid_argument if [chunk < 1] or the matrix dimensions are
+    beyond the field widths. *)
 
 val read_message : ?limit:int -> in_channel -> [ `Msg of message | `Eof | `Error of error ]
 (** Read one frame. [`Eof] only at a clean frame boundary; end-of-input

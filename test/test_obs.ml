@@ -275,7 +275,13 @@ let test_clock_monotonic () =
     let now = Obs.Clock.monotonic () in
     checkb "monotonic never decreases" true (Int64.compare now !prev >= 0);
     prev := now
-  done
+  done;
+  (* readings differ by elapsed time: a 20 ms sleep reads as at least
+     that much *)
+  let t0 = Obs.Clock.monotonic () in
+  Unix.sleepf 0.02;
+  let dt = Int64.sub (Obs.Clock.monotonic ()) t0 in
+  checkb "a sleep reads as elapsed time" true (Int64.compare dt 20_000_000L >= 0)
 
 let () =
   Alcotest.run "obs"

@@ -419,6 +419,26 @@ let test_pool_records_metrics () =
   let lat = List.assoc "pool.task_latency_s" (Metrics.histograms m) in
   checki "latency observed per task" 10 lat.Histogram.n
 
+let test_batch_map_counts () =
+  (* the cached batch handles count exactly what name lookups did, and
+     keep counting after a reset zeroes the registry *)
+  let m = Metrics.create () in
+  let counts () =
+    List.map
+      (fun name -> List.assoc_opt name (Metrics.counters m))
+      [ "batch.jobs"; "batch.items"; "batch.chunks" ]
+  in
+  let opt = Alcotest.(list (option int)) in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.check opt "nothing before the first map" [ None; None; None ] (counts ());
+      ignore (Batch.map ~metrics:m ~chunk:3 pool succ (Array.init 10 Fun.id));
+      ignore (Batch.map ~metrics:m ~chunk:4 pool succ (Array.init 8 Fun.id));
+      ignore (Batch.map ~metrics:m pool succ [||]);
+      Alcotest.check opt "two jobs, 18 items, 4 + 2 chunks" [ Some 2; Some 18; Some 6 ] (counts ());
+      Metrics.reset m;
+      ignore (Batch.map ~metrics:m ~chunk:5 pool succ (Array.init 5 Fun.id));
+      Alcotest.check opt "handles survive reset" [ Some 1; Some 5; Some 1 ] (counts ()))
+
 let test_histogram_empty () =
   let h = Histogram.create () in
   checki "empty count" 0 (Histogram.count h);
@@ -610,6 +630,7 @@ let () =
             test_histogram_percentiles_match_stats;
           Alcotest.test_case "counters and gauges" `Quick test_metrics_counters_and_gauges;
           Alcotest.test_case "pool instrumentation" `Quick test_pool_records_metrics;
+          Alcotest.test_case "batch map counters" `Quick test_batch_map_counts;
           Alcotest.test_case "histogram memory is fixed" `Quick test_histogram_fixed_memory;
           Alcotest.test_case "histogram shards across domains" `Quick test_histogram_across_domains;
           Alcotest.test_case "histogram zero bucket" `Quick test_histogram_zero_bucket;

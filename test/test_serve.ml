@@ -217,6 +217,68 @@ let test_happy_path () =
   checki "no session errors" 0 s.Server.session_errors;
   checki "two ok responses" 2 s.Server.responses_ok
 
+let test_block_path_oracle () =
+  (* Batch sizes straddling the 63-lane block (and the 64-vector pool
+     threshold), programs whose input and output widths straddle byte
+     boundaries, and a chunk size that divides none of the batches:
+     every row of every reply must match Pla.eval, and the chunks must
+     tile the batch in order. *)
+  let chunk = 97 in
+  let server =
+    Server.create
+      {
+        small_config with
+        max_inflight = 4;
+        queue_limit = 8;
+        tenant_quota = 8;
+        chunk_vectors = chunk;
+        max_batch = 1000;
+      }
+  in
+  let rng = Util.Rng.create 2008 in
+  let programs =
+    List.map
+      (fun (n_in, n_out) ->
+        Logic.Cover.random rng ~n_in ~n_out ~n_cubes:(2 * n_in) ~dc_bias:0.5)
+      [ (1, 1); (8, 9); (9, 8); (17, 17) ]
+  in
+  let c = connect server in
+  List.iter
+    (fun cover ->
+      let oracle = Cnfet.Pla.of_cover cover in
+      let n_in = Logic.Cover.num_inputs cover in
+      List.iter
+        (fun n ->
+          let batch = Array.init n (fun _ -> Array.init n_in (fun _ -> Util.Rng.bool rng)) in
+          let what = Printf.sprintf "%d inputs, %d vectors" n_in n in
+          match request c ~tenant:"blocks" ~program:(pla_text cover) ~batch with
+          | `Done (total, _, chunks) ->
+            checki (what ^ ": total") n total;
+            let next =
+              List.fold_left
+                (fun expected_first (first, outputs) ->
+                  let rows = Wire.matrix_rows outputs in
+                  checki (what ^ ": chunk starts where the last ended") expected_first first;
+                  checkb (what ^ ": chunk size") true (rows >= 1 && rows <= chunk);
+                  checki (what ^ ": output width") (Cnfet.Pla.num_outputs oracle)
+                    (Wire.matrix_width outputs);
+                  for i = 0 to rows - 1 do
+                    checkb (what ^ ": oracle match") true
+                      (Wire.matrix_row outputs i = Cnfet.Pla.eval oracle batch.(first + i))
+                  done;
+                  first + rows)
+                0 chunks
+            in
+            checki (what ^ ": chunks cover the batch") n next
+          | _ -> Alcotest.fail (what ^ ": expected Done"))
+        [ 0; 1; 62; 63; 64; 126; 127; 512; 513; 1000 ])
+    programs;
+  finish c;
+  Server.stop server;
+  let s = Server.stats server in
+  checki "no request errors" 0 s.Server.request_errors;
+  checki "no session errors" 0 s.Server.session_errors
+
 let test_classify_served_oracle () =
   (* Classification rides the same admission / cache / eval machinery;
      every served label must match Model.predict on the oracle side. *)
@@ -448,6 +510,8 @@ let () =
       ( "serving",
         [
           Alcotest.test_case "happy path, oracle-checked" `Quick test_happy_path;
+          Alcotest.test_case "block path at every batch shape, oracle-checked" `Quick
+            test_block_path_oracle;
           Alcotest.test_case "classification, oracle-checked" `Quick test_classify_served_oracle;
           Alcotest.test_case "loadgen classify mix, zero miscompares" `Quick
             test_loadgen_classify_mix;
