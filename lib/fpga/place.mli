@@ -11,7 +11,9 @@ val place : ?weights:float array -> Util.Rng.t -> Arch.t -> Design.t -> t
     generator). Raises [Invalid_argument] if the design has more blocks
     than the architecture has sites. [weights] (in {!connections} order,
     default all 1) scale each connection's contribution to the cost —
-    timing-driven placement passes criticalities here. *)
+    timing-driven placement passes criticalities here. A design with no
+    blocks only places its pads (the initial shuffle still draws from
+    the generator). *)
 
 val arch : t -> Arch.t
 
@@ -28,7 +30,7 @@ val po_loc : t -> int -> int * int
 
 val source_loc : t -> Design.source -> int * int
 
-type connection = { src : Design.source; dst_loc : int * int; dst_desc : string }
+type connection = { src : Design.source; dst_loc : int * int }
 
 val connections : t -> connection list
 (** Every routed connection: block fanins and PO hookups. *)

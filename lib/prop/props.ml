@@ -331,6 +331,97 @@ let fpga_inverter_absorption =
       Fpga.Design.inverter_count d' = 0
       && Fpga.Design.block_count d' = Fpga.Design.block_count d - Fpga.Design.inverter_count d)
 
+(* The flat-array annealer against the tuple/Hashtbl placer it replaced:
+   same seed, same sites for every block. Beyond the shapes the sweep
+   generates, cases absorb inverters, leave slack in the grid, rewire
+   the POs onto blocks of every rank and onto PIs, and pass non-integer
+   weights, whose sums depend on the order each block's terms are added
+   in. A design whose blocks were all absorbed only has to place. *)
+type place_case = {
+  pl_design : Gens.design_case;
+  pl_absorb : bool;
+  pl_slack : int;  (* grid sides beyond the smallest that fits *)
+  pl_rewire_pos : bool;
+  pl_weights : bool;
+}
+
+let gen_place_case =
+  let open Gen in
+  let* dg_seed = int_range 0 1_000_000 in
+  let* dg_n_pi = int_range 1 8 in
+  let* dg_n_blocks = int_range 1 30 in
+  let* pl_absorb = bool in
+  let* pl_slack = int_range 0 2 in
+  let* pl_rewire_pos = bool in
+  let* pl_weights = bool in
+  return
+    {
+      pl_design = { Gens.dg_seed; dg_n_pi; dg_n_blocks };
+      pl_absorb;
+      pl_slack;
+      pl_rewire_pos;
+      pl_weights;
+    }
+
+let design_arb = Gens.arb_design_case ()
+
+(* Decimals with no exact binary form: two sets of terms with equal real
+   sums (0.1 + 0.2 against 0.3) round apart, so a move's delta can come
+   out a few ulps off zero, and whether it does depends on the order the
+   terms were added in. *)
+let decimal_weights = [| 0.1; 0.2; 0.3; 0.6; 0.7; 1.3 |]
+
+let shrink_place_case c =
+  Seq.append
+    (Seq.map (fun dg -> { c with pl_design = dg }) (Arb.shrink design_arb c.pl_design))
+    (List.to_seq
+       (List.filter_map Fun.id
+          [
+            (if c.pl_absorb then Some { c with pl_absorb = false } else None);
+            (if c.pl_slack > 0 then Some { c with pl_slack = 0 } else None);
+            (if c.pl_rewire_pos then Some { c with pl_rewire_pos = false } else None);
+            (if c.pl_weights then Some { c with pl_weights = false } else None);
+          ]))
+
+let print_place_case c =
+  Printf.sprintf "%s absorb=%b slack=%d rewire_pos=%b weights=%b"
+    (Arb.print design_arb c.pl_design)
+    c.pl_absorb c.pl_slack c.pl_rewire_pos c.pl_weights
+
+let fpga_place_reference =
+  Runner.make ~name:"fpga/place-reference" ~count:30
+    (Arb.make ~shrink:shrink_place_case ~print:print_place_case gen_place_case)
+    (fun c ->
+      let rng = Util.Rng.create (c.pl_design.Gens.dg_seed lxor 0x91ace) in
+      let d = Gens.design_of_case c.pl_design in
+      let d = if c.pl_absorb then Fpga.Design.absorb_inverters d else d in
+      let n_blocks = Fpga.Design.block_count d in
+      let d =
+        if not c.pl_rewire_pos then d
+        else
+          let source () =
+            if n_blocks = 0 || Util.Rng.bool rng then
+              Fpga.Design.Pi (Util.Rng.int rng d.Fpga.Design.n_pi)
+            else Fpga.Design.Block (Util.Rng.int rng n_blocks)
+          in
+          { d with pos = Array.init (Array.length d.Fpga.Design.pos + 2) (fun _ -> source ()) }
+      in
+      let weights =
+        if c.pl_weights then
+          Some
+            (Array.init (Fpga.Design.connection_count d) (fun _ ->
+                 Util.Rng.pick rng decimal_weights))
+        else None
+      in
+      let rec fit g = if g * g >= n_blocks then g else fit (g + 1) in
+      let arch = Fpga.Arch.standard ~grid:(fit 2 + c.pl_slack) in
+      let seed = Util.Rng.int rng 1_000_000 in
+      let p = Fpga.Place.place ?weights (Util.Rng.create seed) arch d in
+      n_blocks = 0
+      ||
+      let r = Place_reference.place ?weights (Util.Rng.create seed) arch d in
+      Array.for_all Fun.id (Array.mapi (fun b xy -> Fpga.Place.block_loc p b = xy) r))
+
 (* --- tracing ------------------------------------------------------------ *)
 
 (* Random span programs — nested spans, instants, and spans whose body
@@ -1066,6 +1157,7 @@ let all =
     crossbar_resolve_vs_hw;
     folding_witness;
     fpga_inverter_absorption;
+    fpga_place_reference;
     trace_wellformed;
     runtime_bitslice_vs_scalar;
     runtime_histogram_bound;

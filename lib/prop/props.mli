@@ -3,7 +3,8 @@
     Quine–McCluskey, PLA/cascade structures against truth-table oracles,
     programming-protocol round-trips, repair revalidation through defect
     maps, crossbar resolve vs switch-level simulation, folding witnesses,
-    FPGA inverter absorption, trace well-formedness over random span
+    FPGA inverter absorption, the flat-array placer against the
+    tuple/[Hashtbl] annealer it replaced, trace well-formedness over random span
     programs, bit-sliced blocked evaluation against scalar [Pla.eval],
     fixed-memory histogram percentiles against exact nearest rank,
     totality of the serve wire codec, the serve bit-matrix transposes
@@ -20,7 +21,7 @@ val all : Runner.t list
     [program/charge-roundtrip], [program_hw/transistor-roundtrip],
     [atpg/full-coverage], [repair/defect-map-revalidation],
     [crossbar/resolve-vs-hw], [folding/witness-valid],
-    [fpga/inverter-absorption], [trace/wellformed],
+    [fpga/inverter-absorption], [fpga/place-reference], [trace/wellformed],
     [runtime/bitslice-vs-scalar], [runtime/histogram-bound],
     [serve/codec-roundtrip], [serve/matrix-transpose],
     [assess/run-roundtrip]. *)

@@ -153,6 +153,19 @@ let test_place_connections_cover_fanins () =
   checki "one connection per fanin + POs" (Fpga.Design.connection_count d)
     (List.length (Fpga.Place.connections p))
 
+(* A design with no blocks: nothing to anneal, and its two PI-to-PO
+   connections still place, route and time. *)
+let test_place_no_blocks () =
+  let d = { Fpga.Design.n_pi = 2; blocks = [||]; pos = [| Fpga.Design.Pi 0; Fpga.Design.Pi 1 |] } in
+  let a = Fpga.Arch.cnfet ~grid:3 in
+  let p = Fpga.Place.place (Util.Rng.create 1) a d in
+  checki "two connections" 2 (List.length (Fpga.Place.connections p));
+  let o = Fpga.Flow.run (Util.Rng.create 1) a d in
+  checki "wirelength" 18 o.Fpga.Flow.wirelength;
+  checki "one routing iteration" 1 o.Fpga.Flow.route_iterations;
+  checki "no overflow" 0 o.Fpga.Flow.route_overflow;
+  checkb "finite frequency" true (Float.is_finite o.Fpga.Flow.timing.Fpga.Timing.frequency_hz)
+
 (* --- Route ------------------------------------------------------------------------ *)
 
 let routed_setup seed =
@@ -473,6 +486,7 @@ let () =
           Alcotest.test_case "pads on ring" `Quick test_place_pads_on_ring;
           Alcotest.test_case "connections cover fanins" `Quick
             test_place_connections_cover_fanins;
+          Alcotest.test_case "no blocks" `Quick test_place_no_blocks;
         ] );
       ( "route",
         [

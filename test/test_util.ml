@@ -65,6 +65,29 @@ let test_rng_copy () =
   let b = Util.Rng.copy a in
   Alcotest.check Alcotest.int64 "copies agree" (Util.Rng.bits64 a) (Util.Rng.bits64 b)
 
+(* The stream itself, not just its self-consistency: the first outputs of
+   the reference SplitMix64 at seed 1234567, then derived draws at a
+   fixed seed, so a change of state representation that shifted the
+   stream would fail here. *)
+let test_rng_published_vector () =
+  let rng = Util.Rng.create 1234567 in
+  List.iter
+    (fun want -> Alcotest.check Alcotest.int64 "bits64" want (Util.Rng.bits64 rng))
+    [ 0x599ed017fb08fc85L; 0x2c73f08458540fa5L; 0x883ebce5a3f27c77L ]
+
+let test_rng_pinned_draws () =
+  let rng = Util.Rng.create 42 in
+  check (Alcotest.list Alcotest.int) "int" [ 853; 72; 964; 941; 812; 265 ]
+    (List.init 6 (fun _ -> Util.Rng.int rng 1000));
+  check (Alcotest.list (Alcotest.float 0.0)) "float"
+    [ 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ]
+    (List.init 3 (fun _ -> Util.Rng.float rng 1.0));
+  check (Alcotest.list Alcotest.bool) "bool" [ false; true; false; false; true; false ]
+    (List.init 6 (fun _ -> Util.Rng.bool rng));
+  let child = Util.Rng.split rng in
+  checki "split child" 5596 (Util.Rng.int child 1_000_000);
+  checki "parent after split" 395997 (Util.Rng.int rng 1_000_000)
+
 let test_rng_shuffle_permutation () =
   let rng = Util.Rng.create 99 in
   let a = Array.init 50 Fun.id in
@@ -292,6 +315,8 @@ let () =
           Alcotest.test_case "bernoulli bias" `Quick test_rng_bernoulli_bias;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "published SplitMix64 vector" `Quick test_rng_published_vector;
+          Alcotest.test_case "pinned draws" `Quick test_rng_pinned_draws;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
