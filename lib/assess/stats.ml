@@ -55,11 +55,6 @@ let resample_median rng xs scratch =
   done;
   median_unchecked scratch
 
-let percentile_of_sorted a p =
-  let n = Array.length a in
-  let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
-  a.(max 0 (min (n - 1) (rank - 1)))
-
 let bootstrap_ci ?(seed = 9001) ?(resamples = 2000) ?(level = 0.95) xs =
   let n = Array.length xs in
   if n < 2 then Error (Not_enough_samples { what = "bootstrap_ci"; need = 2; got = n })
@@ -74,8 +69,8 @@ let bootstrap_ci ?(seed = 9001) ?(resamples = 2000) ?(level = 0.95) xs =
     let alpha = (1. -. level) /. 2. in
     Ok
       {
-        lo = percentile_of_sorted medians alpha;
-        hi = percentile_of_sorted medians (1. -. alpha);
+        lo = Util.Stats.percentile_sorted (100. *. alpha) medians;
+        hi = Util.Stats.percentile_sorted (100. *. (1. -. alpha)) medians;
         level;
       }
 
@@ -147,8 +142,8 @@ let compare_samples ?(seed = 9001) ?(resamples = 2000) ?(level = 0.95)
           let alpha = (1. -. level) /. 2. in
           Some
             {
-              lo = percentile_of_sorted draws alpha;
-              hi = percentile_of_sorted draws (1. -. alpha);
+              lo = Util.Stats.percentile_sorted (100. *. alpha) draws;
+              hi = Util.Stats.percentile_sorted (100. *. (1. -. alpha)) draws;
               level;
             }
         end

@@ -505,12 +505,12 @@ let trace_wellformed =
 
 (* --- bit-sliced runtime eval -------------------------------------------- *)
 
-(* Covers straddling the 62/63-column Masked/Indexed boundary, and batch
-   sizes straddling the 63-lane block size: the blocked evaluator (full
-   blocks through [eval_block], ragged tail through scalar [eval], the
-   same split [Batch.eval_batch] uses) must be bit-identical to
-   [Pla.eval] on every vector. A partial block evaluated directly
-   (lanes < 63) is checked too. *)
+(* Covers of 61 to 64 and 80 inputs, around the 63-lane word width, and
+   batch sizes straddling the 63-lane block size: the blocked evaluator
+   (full blocks and a partial last block through [eval_block], the split
+   [Batch.eval_batch] uses) must be bit-identical to [Pla.eval], the
+   independent oracle, on every vector, and so must every vector alone
+   through [eval] (a one-lane block). *)
 let bitslice_widths = [ 2; 5; 9; 30; 61; 62; 63; 64; 80 ]
 
 let runtime_bitslice_vs_scalar =
@@ -529,36 +529,20 @@ let runtime_bitslice_vs_scalar =
       let scalar = Array.map (Cnfet.Pla.eval pla) vecs in
       let lanes_max = Runtime.Cache.lanes_per_word in
       let blocked_matches n =
-        let n_blocks = n / lanes_max in
         let ok = ref true in
-        for b = 0 to n_blocks - 1 do
-          let block = Runtime.Cache.transpose vecs ~first:(b * lanes_max) ~lanes:lanes_max in
-          let outs =
-            Runtime.Cache.untranspose (Runtime.Cache.eval_block compiled block)
-              ~lanes:lanes_max
-          in
-          for v = 0 to lanes_max - 1 do
-            if outs.(v) <> scalar.((b * lanes_max) + v) then ok := false
+        for b = 0 to ((n + lanes_max - 1) / lanes_max) - 1 do
+          let first = b * lanes_max in
+          let lanes = min lanes_max (n - first) in
+          let block = Runtime.Cache.transpose vecs ~first ~lanes in
+          let outs = Runtime.Cache.untranspose (Runtime.Cache.eval_block compiled block) ~lanes in
+          for v = 0 to lanes - 1 do
+            if outs.(v) <> scalar.(first + v) then ok := false
           done
         done;
-        for i = n_blocks * lanes_max to n - 1 do
-          if Runtime.Cache.eval compiled vecs.(i) <> scalar.(i) then ok := false
-        done;
         !ok
       in
-      let partial_block_matches lanes =
-        let block = Runtime.Cache.transpose vecs ~first:0 ~lanes in
-        let outs =
-          Runtime.Cache.untranspose (Runtime.Cache.eval_block compiled block) ~lanes
-        in
-        let ok = ref true in
-        for v = 0 to lanes - 1 do
-          if outs.(v) <> scalar.(v) then ok := false
-        done;
-        !ok
-      in
-      List.for_all blocked_matches [ 1; 62; 63; 64; 126; 127 ]
-      && List.for_all partial_block_matches [ 1; 17; 62 ])
+      List.for_all blocked_matches [ 1; 17; 62; 63; 64; 126; 127 ]
+      && Array.for_all2 (fun v want -> Runtime.Cache.eval compiled v = want) vecs scalar)
 
 (* --- fixed-memory histograms ------------------------------------------- *)
 

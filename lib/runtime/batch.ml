@@ -98,67 +98,45 @@ let sweep_pla ?chunk ?metrics pool pla =
 
 (* --- blocked (bit-sliced) fan-out ---------------------------------------- *)
 
-(* One pool item per 63-vector block: transpose a contiguous slice of the
-   batch into lane words, sweep the compiled planes once for all 63
-   vectors, untranspose at fan-in. [map] already writes results back by
-   block index, so the merged output is bit-identical to scalar order;
-   the ragged tail (batch size mod 63) runs through the scalar
-   evaluator. *)
+(* One pool item per 63-vector block, the last one partial ([lanes <
+   63]): [block_of ~first ~lanes] packs vectors [first .. first+lanes-1]
+   into lane words, one sweep of the compiled planes evaluates them all,
+   and fan-in untransposes. [map] writes results back by block index, so
+   the merged output is in vector order whatever the interleaving. *)
+let n_blocks n = (n + Cache.lanes_per_word - 1) / Cache.lanes_per_word
+
+let eval_blocks ?chunk ?metrics pool compiled n block_of =
+  let lanes_max = Cache.lanes_per_word in
+  map ?chunk ?metrics pool
+    (fun b ->
+      let first = b * lanes_max in
+      let lanes = min lanes_max (n - first) in
+      Cache.untranspose (Cache.eval_block compiled (block_of ~first ~lanes)) ~lanes)
+    (Array.init (n_blocks n) Fun.id)
+  |> Array.to_list |> Array.concat
+
 let eval_batch ?chunk ?metrics pool compiled vectors =
-  let lanes = Cache.lanes_per_word in
   let n = Array.length vectors in
-  let n_blocks = n / lanes in
   Obs.Span.with_
-    ~args:[ ("vectors", string_of_int n); ("blocks", string_of_int n_blocks) ]
+    ~args:[ ("vectors", string_of_int n); ("blocks", string_of_int (n_blocks n)) ]
     "batch.eval_batch"
-  @@ fun () ->
-  let results = Array.make n [||] in
-  if n_blocks > 0 then begin
-    let per_block =
-      map ?chunk ?metrics pool
-        (fun b ->
-          let block = Cache.transpose vectors ~first:(b * lanes) ~lanes in
-          Cache.untranspose (Cache.eval_block compiled block) ~lanes)
-        (Array.init n_blocks Fun.id)
-    in
-    Array.iteri (fun b outs -> Array.blit outs 0 results (b * lanes) lanes) per_block
-  end;
-  for i = n_blocks * lanes to n - 1 do
-    results.(i) <- Cache.eval compiled vectors.(i)
-  done;
-  results
+  @@ fun () -> eval_blocks ?chunk ?metrics pool compiled n (Cache.transpose vectors)
 
 let sweep_compiled ?chunk ?metrics pool compiled =
   let n_in = Pla.num_inputs (Cache.pla compiled) in
   if n_in < 0 || n_in > 24 then invalid_arg "Batch.sweep_compiled: n_in must be in 0..24";
-  let lanes = Cache.lanes_per_word in
-  let total = 1 lsl n_in in
-  let n_blocks = total / lanes in
-  let results = Array.make total [||] in
-  if n_blocks > 0 then begin
-    let per_block =
-      map ?chunk ?metrics pool
-        (fun b ->
-          (* Pack minterms [first .. first+62] directly: lane v of input
-             column c is bit c of minterm (first + v). *)
-          let first = b * lanes in
-          let words =
-            Array.init n_in (fun c ->
-                let w = ref 0 in
-                for v = 0 to lanes - 1 do
-                  if (first + v) land (1 lsl c) <> 0 then w := !w lor (1 lsl v)
-                done;
-                !w)
-          in
-          Cache.untranspose (Cache.eval_block compiled { Cache.words; lanes }) ~lanes)
-        (Array.init n_blocks Fun.id)
-    in
-    Array.iteri (fun b outs -> Array.blit outs 0 results (b * lanes) lanes) per_block
-  end;
-  for m = n_blocks * lanes to total - 1 do
-    results.(m) <- Cache.eval compiled (minterm n_in m)
-  done;
-  results
+  eval_blocks ?chunk ?metrics pool compiled (1 lsl n_in) (fun ~first ~lanes ->
+      (* Pack minterms directly: lane v of input column c is bit c of
+         minterm (first + v). *)
+      let words =
+        Array.init n_in (fun c ->
+            let w = ref 0 in
+            for v = 0 to lanes - 1 do
+              if (first + v) land (1 lsl c) <> 0 then w := !w lor (1 lsl v)
+            done;
+            !w)
+      in
+      { Cache.words; lanes })
 
 let sweep_pla_hw ?chunk ?metrics pool pla =
   let hw = Pla.build_hw pla in

@@ -36,15 +36,16 @@ val sweep_pla : ?chunk:int -> ?metrics:Metrics.t -> Pool.t -> Cnfet.Pla.t -> boo
 
 val sweep_compiled : ?chunk:int -> ?metrics:Metrics.t -> Pool.t -> Cache.compiled -> bool array array
 (** Same through a {!Cache}-compiled evaluator, blocked: minterms are
-    packed 63 per word ({!Cache.eval_block}) with one pool item per
-    block, so [chunk] counts blocks. Bit-identical to the scalar sweep. *)
+    packed 63 per word ({!Cache.eval_block}, the last block partial)
+    with one pool item per block, so [chunk] counts blocks.
+    Bit-identical to {!sweep_pla}. *)
 
 val eval_batch : ?chunk:int -> ?metrics:Metrics.t -> Pool.t -> Cache.compiled -> bool array array -> bool array array
 (** Evaluate an arbitrary batch of input vectors through the bit-sliced
-    compiled path: full 63-vector blocks are transposed and fanned out
-    across the pool (one block per item; [chunk] counts blocks), the
-    ragged tail runs through the scalar evaluator. Results are in input
-    order, bit-identical to mapping {!Cache.eval} over the batch. *)
+    compiled path: 63-vector blocks, the last one partial, are
+    transposed and fanned out across the pool (one block per item;
+    [chunk] counts blocks). Results are in input order, bit-identical to
+    mapping {!Cnfet.Pla.eval} over the batch. *)
 
 val sweep_pla_hw : ?chunk:int -> ?metrics:Metrics.t -> Pool.t -> Cnfet.Pla.t -> bool array array
 (** Switch-level sweep: builds the netlist once, simulates every vector

@@ -226,23 +226,10 @@ let run_assess ?metrics ?cache ?(seed = 2008) ?(trials = 1000) ?(repeats = 1) ~j
 
 (* --- JSON rendering ------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_report r =
   Printf.sprintf
     "{\"name\":\"%s\",\"items\":%d,\"seq_s\":%.6f,\"par_s\":%.6f,\"speedup\":%.3f,\"identical\":%b}"
-    (json_escape r.name) r.items r.seq_s r.par_s r.speedup r.identical
+    (Assess.Json.escape_string r.name) r.items r.seq_s r.par_s r.speedup r.identical
 
 let to_json ?cache ?metrics ~jobs reports =
   let buf = Buffer.create 1024 in
@@ -267,8 +254,8 @@ let to_json ?cache ?metrics ~jobs reports =
         (fun (name, s) ->
           Printf.sprintf
             "\"%s\": {\"n\": %d, \"mean\": %.6g, \"min\": %.6g, \"p50\": %.6g, \"p95\": %.6g, \"p99\": %.6g, \"max\": %.6g}"
-            (json_escape name) s.Histogram.n s.Histogram.mean s.Histogram.min s.Histogram.p50
-            s.Histogram.p95 s.Histogram.p99 s.Histogram.max)
+            (Assess.Json.escape_string name) s.Histogram.n s.Histogram.mean s.Histogram.min
+            s.Histogram.p50 s.Histogram.p95 s.Histogram.p99 s.Histogram.max)
         (Metrics.histograms m)
     in
     Buffer.add_string buf

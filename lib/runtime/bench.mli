@@ -18,10 +18,6 @@ type report = {
 val time : (unit -> 'a) -> 'a * float
 (** Wall-clock an evaluation. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (shared by the
-    espresso bench's renderer). *)
-
 val hw_sweep : ?metrics:Metrics.t -> Pool.t -> report
 (** Exhaustive switch-level truth-table sweeps over the MCNC generator
     functions with ≤ 7 inputs. *)

@@ -20,11 +20,11 @@ type report = {
   packed_mops : float;  (** million cover set-ops per second, packed kernel *)
   naive_mops : float;  (** same workload through the naive reference *)
   op_speedup : float;  (** [packed_mops /. naive_mops] *)
-  eval_mevals : float;  (** million compiled-PLA evaluations per second, scalar *)
+  eval_mevals : float;  (** million compiled-PLA evaluations per second, one vector a call *)
   eval_block_mevals : float;  (** same workload through {!Cache.eval_block} *)
   block_speedup : float;  (** [eval_block_mevals /. eval_mevals] *)
   identical : bool;  (** packed and naive checksums agreed *)
-  block_identical : bool;  (** blocked eval bit-identical to scalar eval *)
+  block_identical : bool;  (** blocked eval bit-identical to [Pla.eval] *)
 }
 
 val run : ?metrics:Metrics.t -> ?quick:bool -> ?seed:int -> unit -> report list
@@ -43,7 +43,7 @@ val geomean_speedup : report list -> float
 (** Geometric mean of the packed-vs-naive op speedups. *)
 
 val geomean_block_speedup : report list -> float
-(** Geometric mean of the blocked-vs-scalar eval speedups. *)
+(** Geometric mean of the blocked-vs-one-vector eval speedups. *)
 
 val profile_name : quick:bool -> string
 (** ["espresso-quick"] / ["espresso-full"]: the {!Assess.Run.t} profile

@@ -4,16 +4,14 @@
    and building its switch-level netlist are pure functions of the
    programmed cover — the cube list plus the output-polarity
    configuration. The cache keys on an MD5 digest of that content and
-   memoises four artefacts per entry:
+   memoises three artefacts per entry:
 
      - the mapped [Pla.t];
-     - a compiled scalar evaluator: per-row masks / index lists that
-       skip [Drop] crosspoints (bit-parallel over the inputs when they
-       fit a native int), bit-identical to [Pla.eval];
-     - a bit-sliced transposed evaluator: per-row column-index lists
-       driven by words in which lane v (bit position v) carries input
-       vector v, so one AND/NOR sweep evaluates 63 vectors at once
-       ([eval_block]);
+     - a bit-sliced evaluator: per-row column-index lists that skip
+       [Drop] crosspoints, driven by words in which lane v (bit
+       position v) carries input vector v, so one AND/NOR sweep
+       evaluates 63 vectors at once ([eval_block]); a single vector
+       ([eval]) is a one-lane block;
      - the switch-level netlist, built lazily on first use.
 
    Hits, misses and evictions are counted. Eviction is
@@ -56,16 +54,10 @@ let key_of_cover ?inverted_outputs cover =
 (* A GNOR row is the NOR of its contributions: a [Pass] crosspoint
    contributes the input, an [Invert] one its complement, a [Drop] one
    nothing. Row i is therefore high iff no Pass input is 1 and no Invert
-   input is 0. With <= 62 columns the row compiles to two masks and the
-   whole test is two ANDs; otherwise to index lists that still skip every
-   Drop crosspoint. *)
-type row =
-  | Masked of { pass : int; invert : int }
-  | Indexed of { pass : int array; invert : int array }
-
-(* The same row in bit-sliced form: explicit column-index lists, uniform
-   for both the Masked and the Indexed case. [eval_block] walks them with
-   one word op per non-Drop crosspoint, each op covering 63 vectors. *)
+   input is 0. A row compiles to the column indices of its Pass and its
+   Invert crosspoints, so every Drop is skipped; [eval_block] walks them
+   with one word op per non-Drop crosspoint, each op covering 63
+   vectors. *)
 type srow = { s_pass : int array; s_invert : int array }
 
 let lanes_per_word = 63
@@ -73,110 +65,38 @@ let lanes_per_word = 63
 type block = { words : int array; lanes : int }
 
 let compile_plane plane =
-  let cols = Plane.cols plane in
   Array.init (Plane.rows plane) (fun r ->
-      let modes = Plane.row_modes plane r in
-      if cols <= 62 then begin
-        let pass = ref 0 and invert = ref 0 in
-        Array.iteri
-          (fun c m ->
-            match m with
-            | Gnor.Pass -> pass := !pass lor (1 lsl c)
-            | Gnor.Invert -> invert := !invert lor (1 lsl c)
-            | Gnor.Drop -> ())
-          modes;
-        Masked { pass = !pass; invert = !invert }
-      end
-      else begin
-        let pass = ref [] and invert = ref [] in
-        Array.iteri
-          (fun c m ->
-            match m with
-            | Gnor.Pass -> pass := c :: !pass
-            | Gnor.Invert -> invert := c :: !invert
-            | Gnor.Drop -> ())
-          modes;
-        Indexed
-          {
-            pass = Array.of_list (List.rev !pass);
-            invert = Array.of_list (List.rev !invert);
-          }
-      end)
+      let pass = ref [] and invert = ref [] in
+      Array.iteri
+        (fun c m ->
+          match m with
+          | Gnor.Pass -> pass := c :: !pass
+          | Gnor.Invert -> invert := c :: !invert
+          | Gnor.Drop -> ())
+        (Plane.row_modes plane r);
+      { s_pass = Array.of_list (List.rev !pass); s_invert = Array.of_list (List.rev !invert) })
 
-(* Lower a compiled row onto the sliced lanes. The >62-column Indexed
-   form already is a column-index list; Masked rows expand their masks.
-   Arrays are copied so the scalar and sliced forms stay physically
-   independent — the integrity checksum covers each separately. *)
-let slice_of_row = function
-  | Masked { pass; invert } ->
-    let bits m =
-      let l = ref [] in
-      for c = 62 downto 0 do
-        if m land (1 lsl c) <> 0 then l := c :: !l
-      done;
-      Array.of_list !l
-    in
-    { s_pass = bits pass; s_invert = bits invert }
-  | Indexed { pass; invert } ->
-    { s_pass = Array.copy pass; s_invert = Array.copy invert }
-
-let eval_rows_into rows inputs out =
-  let n = Array.length inputs in
-  (* Pack once per evaluation; shared by every Masked row. *)
-  let packed =
-    if n <= 62 then begin
-      let w = ref 0 in
-      for i = 0 to n - 1 do
-        if inputs.(i) then w := !w lor (1 lsl i)
-      done;
-      !w
-    end
-    else 0
-  in
-  for r = 0 to Array.length rows - 1 do
-    out.(r) <-
-      (match rows.(r) with
-      | Masked { pass; invert } -> packed land pass = 0 && lnot packed land invert = 0
-      | Indexed { pass; invert } ->
-        (not (Array.exists (fun c -> inputs.(c)) pass))
-        && not (Array.exists (fun c -> not inputs.(c)) invert))
-  done
-
-(* Reusable per-compiled buffers for the scalar path: the degenerate-shape
-   padding and both plane-output arrays used to be allocated on every
-   [eval] call. A single scratch is parked on the compiled entry and
+(* One word per AND row and per OR row, parked on the compiled entry and
    claimed with an atomic exchange — concurrent evaluators on other
    domains simply allocate a fresh one, so reuse is race-free without a
    lock on the hot path. *)
-type scratch = { padded : bool array; products : bool array; sums : bool array }
-
-(* The blocked path's equivalent: one word per AND row and per OR row,
-   loaned the same way. *)
 type bscratch = { bproducts : int array; bsums : int array }
 
 type compiled = {
   pla : Pla.t;
-  and_rows : row array;
-  or_rows : row array;
-  sand_rows : srow array;  (* bit-sliced AND plane *)
-  sor_rows : srow array;  (* bit-sliced OR plane *)
+  and_rows : srow array;
+  or_rows : srow array;
   inverted : bool array;
-  scratch : scratch option Atomic.t;
   bscratch : bscratch option Atomic.t;
   hw : Pla.hw Lazy.t;
 }
 
 let compile_pla pla =
-  let and_rows = compile_plane (Pla.and_plane pla) in
-  let or_rows = compile_plane (Pla.or_plane pla) in
   {
     pla;
-    and_rows;
-    or_rows;
-    sand_rows = Array.map slice_of_row and_rows;
-    sor_rows = Array.map slice_of_row or_rows;
+    and_rows = compile_plane (Pla.and_plane pla);
+    or_rows = compile_plane (Pla.or_plane pla);
     inverted = Array.init (Pla.num_outputs pla) (Pla.output_inverted pla);
-    scratch = Atomic.make None;
     bscratch = Atomic.make None;
     hw = lazy (Pla.build_hw pla);
   }
@@ -187,10 +107,9 @@ let hw c = Lazy.force c.hw
 
 (* --- checksums ---------------------------------------------------------- *)
 
-(* A cheap integer digest over everything [eval] and [eval_block] read:
-   both scalar row arrays, both sliced row arrays and the output-polarity
-   vector. SplitMix64's finalizer gives good avalanche, so any single
-   bit-flip in a mask, an index list, a sliced lane list or a polarity
+(* A cheap integer digest over everything [eval_block] reads: both row
+   arrays and the output-polarity vector. SplitMix64's finalizer gives
+   good avalanche, so any single change to an index list or a polarity
    changes the digest. Recomputed on every serve and compared with the
    value recorded at compile time — the cache's defence against entries
    rotting in place (injected by [Fault.Inject], or real memory
@@ -203,106 +122,40 @@ let mix h x =
 
 let checksum_of_compiled c =
   let h = ref 0x9e3779b97f4a7c15L in
-  let row r =
-    match r with
-    | Masked { pass; invert } ->
-      h := mix !h 1;
-      h := mix !h pass;
-      h := mix !h invert
-    | Indexed { pass; invert } ->
-      h := mix !h 2;
-      Array.iter (fun x -> h := mix !h x) pass;
-      h := mix !h (-1);
-      Array.iter (fun x -> h := mix !h x) invert
-  in
-  let srow s =
-    h := mix !h 3;
+  let row s =
     h := mix !h (Array.length s.s_pass);
     Array.iter (fun x -> h := mix !h x) s.s_pass;
     h := mix !h (Array.length s.s_invert);
     Array.iter (fun x -> h := mix !h x) s.s_invert
   in
   Array.iter row c.and_rows;
-  h := mix !h (-2);
+  h := mix !h (-1);
   Array.iter row c.or_rows;
-  h := mix !h (-3);
-  Array.iter srow c.sand_rows;
-  h := mix !h (-4);
-  Array.iter srow c.sor_rows;
-  h := mix !h (-5);
+  h := mix !h (-2);
   Array.iter (fun b -> h := mix !h (if b then 1 else 0)) c.inverted;
   Int64.to_int !h
 
-(* Deterministic silent corruption for the chaos engine: flip the first
-   output's polarity — both the scalar and the sliced evaluator read it,
-   so [eval] and [eval_block] keep running but return wrong bits, which
-   is exactly the failure the checksum must catch before serving. *)
+(* Deterministic silent corruption for the chaos engine: swap Pass and
+   Invert on the first row with a crosspoint (AND plane first), or, on a
+   plane without crosspoints, flip the first output's polarity. The
+   entry keeps evaluating but returns wrong bits, which is exactly the
+   failure the checksum must catch before serving. Swapping keeps every
+   index in range, so even a mistaken evaluation of the rotten entry
+   stays memory-safe. *)
 let corrupt_compiled c =
-  if Array.length c.inverted > 0 then c.inverted.(0) <- not c.inverted.(0)
-  else if Array.length c.and_rows > 0 then begin
-    c.and_rows.(0) <-
-      (match c.and_rows.(0) with
-      | Masked { pass; invert } -> Masked { pass = pass lxor 1; invert }
-      | Indexed r -> Indexed { r with pass = Array.map succ r.pass });
-    if Array.length c.sand_rows > 0 then begin
-      let s = c.sand_rows.(0) in
-      c.sand_rows.(0) <- { s_pass = s.s_invert; s_invert = s.s_pass }
-    end
-  end
-
-(* Rot only the bit-sliced arrays, leaving the scalar rows intact: the
-   next serve must still raise [Corrupt_entry], proving the checksum
-   covers the transposed form and not just the scalar one. Pass/invert
-   swapping keeps every index in range, so even a mistaken evaluation of
-   the rotten entry stays memory-safe. *)
-let corrupt_block_compiled c =
   let swap rows =
-    let found = ref false in
-    Array.iteri
-      (fun i s ->
-        if (not !found) && Array.length s.s_pass + Array.length s.s_invert > 0 then begin
-          found := true;
-          rows.(i) <- { s_pass = s.s_invert; s_invert = s.s_pass }
-        end)
-      rows;
-    !found
+    match
+      Array.find_index
+        (fun s -> Array.length s.s_pass + Array.length s.s_invert > 0)
+        rows
+    with
+    | Some i ->
+      rows.(i) <- { s_pass = rows.(i).s_invert; s_invert = rows.(i).s_pass };
+      true
+    | None -> false
   in
-  if not (swap c.sand_rows) then
-    if not (swap c.sor_rows) then
-      if Array.length c.inverted > 0 then c.inverted.(0) <- not c.inverted.(0)
-
-(* --- scalar evaluation --------------------------------------------------- *)
-
-let alloc_scratch c =
-  {
-    padded = Array.make (Plane.cols (Pla.and_plane c.pla)) false;
-    products = Array.make (Array.length c.and_rows) false;
-    sums = Array.make (Array.length c.or_rows) false;
-  }
-
-let eval c inputs =
-  let n_in = Pla.num_inputs c.pla in
-  if Array.length inputs <> n_in then invalid_arg "Cache.eval";
-  let s =
-    match Atomic.exchange c.scratch None with Some s -> s | None -> alloc_scratch c
-  in
-  let padded =
-    (* Degenerate shapes pad the AND plane to at least one column; the
-       scratch pad's suffix is never written, so it stays false. *)
-    if Array.length s.padded = n_in then inputs
-    else begin
-      Array.blit inputs 0 s.padded 0 n_in;
-      s.padded
-    end
-  in
-  eval_rows_into c.and_rows padded s.products;
-  eval_rows_into c.or_rows s.products s.sums;
-  let result =
-    Array.init (Array.length c.inverted) (fun o ->
-        if c.inverted.(o) then not s.sums.(o) else s.sums.(o))
-  in
-  Atomic.set c.scratch (Some s);
-  result
+  if not (swap c.and_rows || swap c.or_rows) && Array.length c.inverted > 0 then
+    c.inverted.(0) <- not c.inverted.(0)
 
 (* --- bit-sliced (transposed) evaluation ----------------------------------- *)
 
@@ -338,9 +191,9 @@ let untranspose words ~lanes =
    Pass columns and its Invert columns — the GNOR test, 63 vectors per
    word op. Bits above [lanes] carry garbage mid-pipeline; the output
    stage masks them off. *)
-(* Sliced column indices are compile-derived and always in range for the
-   plane they index (every corruption path preserves that invariant), so
-   the word reads skip the bounds check — it is the hot loop. *)
+(* Column indices are compile-derived and always in range for the plane
+   they index (every corruption path preserves that invariant), so the
+   word reads skip the bounds check — it is the hot loop. *)
 let eval_srows_into srows words out =
   for r = 0 to Array.length srows - 1 do
     let s = Array.unsafe_get srows r in
@@ -358,8 +211,8 @@ let eval_srows_into srows words out =
 
 let alloc_bscratch c =
   {
-    bproducts = Array.make (Array.length c.sand_rows) 0;
-    bsums = Array.make (Array.length c.sor_rows) 0;
+    bproducts = Array.make (Array.length c.and_rows) 0;
+    bsums = Array.make (Array.length c.or_rows) 0;
   }
 
 let eval_block c { words; lanes } =
@@ -369,15 +222,14 @@ let eval_block c { words; lanes } =
   let cols = Plane.cols (Pla.and_plane c.pla) in
   let words =
     (* Degenerate shapes pad the AND plane to at least one column; a
-       padded column reads as constant-0 lanes, like the scalar path's
-       false padding. *)
+       padded column reads as constant-0 lanes. *)
     if cols = n_in then words else Array.append words (Array.make (cols - n_in) 0)
   in
   let s =
     match Atomic.exchange c.bscratch None with Some s -> s | None -> alloc_bscratch c
   in
-  eval_srows_into c.sand_rows words s.bproducts;
-  eval_srows_into c.sor_rows s.bproducts s.bsums;
+  eval_srows_into c.and_rows words s.bproducts;
+  eval_srows_into c.or_rows s.bproducts s.bsums;
   let m = lane_mask lanes in
   let sums = s.bsums in
   let result =
@@ -386,6 +238,13 @@ let eval_block c { words; lanes } =
   in
   Atomic.set c.bscratch (Some s);
   result
+
+(* A single vector is a one-lane block. *)
+let eval c inputs =
+  if Array.length inputs <> Pla.num_inputs c.pla then invalid_arg "Cache.eval";
+  Array.map
+    (fun w -> w land 1 <> 0)
+    (eval_block c { words = Array.map Bool.to_int inputs; lanes = 1 })
 
 (* --- the cache proper --------------------------------------------------- *)
 
@@ -541,7 +400,6 @@ let corruptions t = locked t (fun () -> t.corruptions)
 let size t = locked t (fun () -> Hashtbl.length t.table)
 
 let corrupt_for_test = corrupt_compiled
-let corrupt_block_for_test = corrupt_block_compiled
 
 let hit_rate t =
   locked t (fun () ->

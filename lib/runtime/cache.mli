@@ -4,10 +4,11 @@
     pure functions of the programmed content — the cube list plus the
     output-polarity configuration — so they are memoised under an MD5
     digest of exactly that content. Each entry holds the mapped
-    {!Cnfet.Pla.t}, a compiled scalar evaluator (per-row masks that skip
-    [Drop] crosspoints; bit-identical to [Pla.eval]), a bit-sliced
-    transposed evaluator ({!eval_block}: 63 input vectors per native
-    int) and the lazily-built switch-level netlist. Eviction is LRU at a
+    {!Cnfet.Pla.t}, one compiled evaluator (per-row column-index lists
+    that skip [Drop] crosspoints, run bit-sliced by {!eval_block} over
+    63 input vectors per native int; {!eval} is a one-lane block;
+    bit-identical to [Pla.eval]) and the lazily-built switch-level
+    netlist. Eviction is LRU at a
     fixed capacity, tracked by an intrusive doubly-linked list (touch
     and evict are O(1)). Thread-safe. *)
 
@@ -57,10 +58,9 @@ val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
 val pla : compiled -> Cnfet.Pla.t
 
 val eval : compiled -> bool array -> bool array
-(** Compiled functional evaluation; bit-identical to [Pla.eval] on the
-    underlying PLA. Allocation-light: plane scratch buffers are reused
-    across calls on the same compiled entry (claimed atomically, so
-    concurrent evaluators on other domains stay correct). *)
+(** Compiled functional evaluation of one vector, run as a one-lane
+    {!eval_block}; bit-identical to [Pla.eval] on the underlying PLA.
+    @raise Invalid_argument if [inputs] is not the PLA's input width. *)
 
 val hw : compiled -> Cnfet.Pla.hw
 (** The switch-level realization, built on first use and memoised. *)
@@ -94,10 +94,11 @@ val untranspose : int array -> lanes:int -> bool array array
 
 val eval_block : compiled -> block -> int array
 (** Evaluate 63-at-a-time: returns one word per output, lane [v] of
-    word [o] being output [o] of vector [v] — bit-identical to {!eval}
-    on each lane. Covers with more than 62 input columns (the scalar
-    [Indexed] fallback) run on the same sliced lanes. Bits at and above
-    [block.lanes] are zero in the result.
+    word [o] being output [o] of vector [v] — bit-identical to
+    [Pla.eval] on each lane, at any input width. Bits at and above
+    [block.lanes] are zero in the result. Plane scratch words are
+    reused across calls on the same compiled entry (claimed atomically,
+    so concurrent evaluators on other domains stay correct).
     @raise Invalid_argument if [Array.length block.words] differs from
     the compiled PLA's input count or [block.lanes] is out of range. *)
 
@@ -115,15 +116,11 @@ val corruptions : t -> int
 val size : t -> int
 
 val corrupt_for_test : compiled -> unit
-(** Deterministically rot a compiled entry in place (flips the first
-    output's polarity) {e without} updating its stored checksum — the
-    next serve of that entry must raise {!Corrupt_entry}. Chaos/test
-    hook; never call it in production paths. *)
-
-val corrupt_block_for_test : compiled -> unit
-(** Like {!corrupt_for_test} but rots only the bit-sliced arrays,
-    leaving the scalar rows intact — proves the integrity checksum
-    covers the transposed form too. *)
+(** Deterministically rot a compiled entry in place {e without}
+    updating its stored checksum: swaps Pass and Invert on the first row
+    with a crosspoint, or flips the first output's polarity when no row
+    has one. The next serve of that entry must raise {!Corrupt_entry}.
+    Chaos/test hook; never call it in production paths. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

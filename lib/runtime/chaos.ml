@@ -453,17 +453,6 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
 
 (* --- rendering ----------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -477,7 +466,8 @@ let to_json r =
   pf "  \"injected_total\": %d,\n" r.injected_total;
   pf "  \"injected_by_category\": {";
   List.iteri
-    (fun i (k, v) -> pf "%s\"%s\": %d" (if i = 0 then " " else ", ") (json_escape k) v)
+    (fun i (k, v) ->
+      pf "%s\"%s\": %d" (if i = 0 then " " else ", ") (Assess.Json.escape_string k) v)
     r.injected_by_category;
   pf " },\n";
   pf "  \"scenarios\": [\n";
@@ -486,8 +476,8 @@ let to_json r =
       pf
         "    { \"name\": \"%s\", \"rounds\": %d, \"injected\": %d, \"detected\": %d, \
          \"repaired\": %d, \"unrepairable\": %d, \"undetected\": %d }%s\n"
-        (json_escape sc.sc_name) sc.sc_rounds sc.sc_injected sc.sc_detected sc.sc_repaired
-        sc.sc_unrepairable sc.sc_undetected
+        (Assess.Json.escape_string sc.sc_name) sc.sc_rounds sc.sc_injected sc.sc_detected
+        sc.sc_repaired sc.sc_unrepairable sc.sc_undetected
         (if i = List.length r.scenarios - 1 then "" else ","))
     r.scenarios;
   pf "  ],\n";

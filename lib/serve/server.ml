@@ -187,7 +187,7 @@ type reply =
    with one pool item per block when the batch is big enough. The reply
    matrix comes straight from the output lane words
    ([Wire.matrix_of_blocks]); both directions use the 8x8 bit-transpose
-   kernel, and no vector runs through the scalar evaluator. *)
+   kernel. *)
 let eval_engine t engine batch =
   let n = Wire.matrix_rows batch in
   match engine with

@@ -82,6 +82,17 @@ let test_bootstrap_ci_contains_median () =
   checkf "lo reproducible" ci.Stats.lo ci'.Stats.lo;
   checkf "hi reproducible" ci.Stats.hi ci'.Stats.hi
 
+let test_bootstrap_ci_pinned () =
+  (* Exact bounds on a fixed series, so a change to the resampling or
+     to the rank rule that picks lo/hi from the sorted medians shows. *)
+  let xs = [| 12.5; 9.75; 11.0; 10.25; 13.5; 8.0; 10.75; 12.0; 9.5; 11.25; 14.0; 10.0 |] in
+  List.iter
+    (fun (level, lo, hi) ->
+      let ci = get_ok "bootstrap" (Stats.bootstrap_ci ~seed:9001 ~level xs) in
+      checkf (Printf.sprintf "lo at %g" level) lo ci.Stats.lo;
+      checkf (Printf.sprintf "hi at %g" level) hi ci.Stats.hi)
+    [ (0.8, 10.125, 11.625); (0.9, 10.0, 12.0); (0.95, 9.875, 12.25); (0.99, 9.75, 13.0) ]
+
 (* --- Verdicts ------------------------------------------------------------- *)
 
 let test_aa_identical_within_noise () =
@@ -265,6 +276,7 @@ let () =
           Alcotest.test_case "rel_spread" `Quick test_rel_spread;
           Alcotest.test_case "degenerate inputs" `Quick test_degenerate_inputs;
           Alcotest.test_case "bootstrap CI containment" `Quick test_bootstrap_ci_contains_median;
+          Alcotest.test_case "bootstrap CI pinned bounds" `Quick test_bootstrap_ci_pinned;
         ] );
       ( "verdicts",
         [

@@ -226,16 +226,18 @@ let test_eval_block_matches_scalar () =
   List.iter
     (fun cover ->
       let compiled = Cache.compile cache cover in
+      let pla = Pla.of_cover cover in
       let width = Cover.num_inputs cover in
       List.iter
         (fun lanes ->
           let vecs = random_vectors rng ~n:lanes ~width in
           let block = Cache.transpose vecs ~first:0 ~lanes in
           let words = Cache.eval_block compiled block in
+          Array.iter (fun w -> checki "no bits at or above lanes" 0 (w lsr lanes)) words;
           let got = Cache.untranspose words ~lanes in
-          let want = Array.map (Cache.eval compiled) vecs in
+          let want = Array.map (Pla.eval pla) vecs in
           Alcotest.check truth
-            (Printf.sprintf "eval_block = eval (%d lanes)" lanes)
+            (Printf.sprintf "eval_block = Pla.eval (%d lanes)" lanes)
             want got)
         [ 1; 17; 62; 63 ])
     [ cmp2; Mcnc.Generators.majority 5; Mcnc.Generators.decoder ~bits:3 ]
@@ -245,12 +247,13 @@ let test_eval_batch_ragged_tail () =
   let cache = Cache.create () in
   let cover = Mcnc.Generators.adder ~bits:2 in
   let compiled = Cache.compile cache cover in
+  let pla = Pla.of_cover cover in
   let width = Cover.num_inputs cover in
   Pool.with_pool ~jobs:3 (fun pool ->
       List.iter
         (fun n ->
           let vecs = random_vectors rng ~n ~width in
-          let want = Array.map (Cache.eval compiled) vecs in
+          let want = Array.map (Pla.eval pla) vecs in
           Alcotest.check truth
             (Printf.sprintf "eval_batch n=%d" n)
             want
@@ -274,17 +277,24 @@ let test_sweep_compiled_blocked_matches_pla () =
             (Batch.sweep_compiled pool compiled);
           Alcotest.check truth "blocked chunk=1 = sequential" reference
             (Batch.sweep_compiled ~chunk:1 pool compiled)))
-    (* 5 inputs: scalar-tail only (32 < 63). 7 inputs: two full blocks
-       plus a ragged tail (128 = 2*63 + 2). *)
-    [ Mcnc.Generators.majority 5; Mcnc.Generators.xor_n 7 ]
+    (* 1 input: one 2-lane partial block. 5 inputs: one 32-lane partial
+       block. 6 inputs: one full block plus a 1-lane partial block
+       (64 = 63 + 1). 7 inputs: two full blocks plus a 2-lane partial
+       block (128 = 2*63 + 2). *)
+    [
+      Mcnc.Generators.xor_n 1;
+      Mcnc.Generators.majority 5;
+      Mcnc.Generators.xor_n 6;
+      Mcnc.Generators.xor_n 7;
+    ]
 
 let test_block_corruption_detected () =
-  (* Rotting only the bit-sliced arrays must trip the checksum: proves
-     the integrity check covers the transposed form, not just the
-     scalar rows. *)
+  (* Swapping Pass and Invert on one sliced row leaves the polarity
+     vector alone, so only the checksum's walk over the row arrays can
+     catch it. *)
   let cache = Cache.create () in
   let compiled = Cache.compile cache cmp2 in
-  Cache.corrupt_block_for_test compiled;
+  Cache.corrupt_for_test compiled;
   (match Cache.compile cache cmp2 with
   | _ -> Alcotest.fail "expected Corrupt_entry"
   | exception Cache.Corrupt_entry _ -> ());
