@@ -18,21 +18,7 @@ let minimize ?dc f =
   let n_in = Cover.num_inputs f and n_out = Cover.num_outputs f in
   let dc = match dc with Some d -> d | None -> Cover.empty ~n_in ~n_out in
   let pos = Minimize.cover ~dc f in
-  let neg_on =
-    (* ¬f per output, assembled into one multi-output cover. *)
-    let parts = ref [] in
-    for o = n_out - 1 downto 0 do
-      let comp =
-        Cover.complement_of_incompletely_specified (Cover.restrict_output f o)
-          (Cover.restrict_output dc o)
-      in
-      let widen c =
-        Cube.of_literals (List.init n_in (Cube.get c)) ~outs:(Util.Bitvec.of_list n_out [ o ])
-      in
-      parts := List.map widen (Cover.cubes comp) @ !parts
-    done;
-    Cover.make ~n_in ~n_out !parts
-  in
+  let neg_on = Phase.apply_phases ~dc f (Array.make n_out false) in
   let neg = Minimize.cover ~dc neg_on in
   let choice =
     Array.init n_out (fun o -> products_for pos o <= products_for neg o)

@@ -29,10 +29,6 @@ let blocker_scans_naive_total () = Atomic.get blocker_scans_naive
 
 let default_dc f = Cover.empty ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f)
 
-(* A raised candidate is valid iff it intersects no off-set cube. *)
-let disjoint_from_offset cand offset =
-  not (Array.exists (Cube.intersects cand) (Cover.to_array offset))
-
 (* Expand one cube into a prime against the off-set. Inputs are raised
    first (cheapest literals first: positions blocked by the fewest off-set
    cubes are tried first), then the output part is raised. *)
@@ -40,29 +36,46 @@ let expand_cube c ~offset =
   let n_in = Cube.num_inputs c and n_out = Cube.num_outputs c in
   let off = Cover.to_array offset in
   let n_off = Array.length off in
-  (* Heuristic order: for each lowerable position count how many off-set
-     cubes newly intersect if raised; fewer blockers first. Raising
-     position i makes off cube r newly intersect iff the input conflicts
-     of (c, r) are confined to {i} and the output parts already meet, so
-     one pass over the off-set classifying each cube by its conflict
-     profile yields every position's count — instead of rescanning the
-     whole off-set once per candidate position. *)
+  let outs = Cube.outputs c in
+  (* Input raises keep the output part, so only off-set cubes whose
+     outputs meet it can block one. *)
+  let relevant =
+    Array.of_list
+      (List.filter (fun r -> not (Util.Bitvec.disjoint outs (Cube.outputs r))) (Array.to_list off))
+  in
   let candidates =
     List.filter (fun i -> Cube.raw_get c i <> 3) (List.init n_in (fun i -> i))
   in
+  (* Raising position i is blocked iff a relevant cube conflicts with the
+     current cube nowhere but at i. Up to [Cube.max_mask_inputs] inputs
+     each relevant cube's conflict positions are kept as a bit mask, and an
+     accepted raise clears bit i in all of them; wider cubes test the
+     raised cube itself. *)
+  let masks =
+    if n_in <= Cube.max_mask_inputs then Some (Array.map (Cube.conflict_mask c) relevant)
+    else None
+  in
+  (* Heuristic order: fewest blockers first. With masks one pass counts
+     every position's blockers (the cubes whose mask is that one bit)
+     instead of a rescan per position. A cube at distance 0 blocks every
+     raise, a constant that cannot change the order, so it is left out. *)
   let blockers = Array.make (max n_in 1) 0 in
-  let outs = Cube.outputs c in
-  Array.iter
-    (fun r ->
-      if not (Util.Bitvec.disjoint outs (Cube.outputs r)) then
-        match Cube.first_input_conflicts c r with
-        | 0, _ ->
-          (* Distance already 0: the cube blocks every raise equally —
-             a constant offset that cannot change the sort order. *)
-          ()
-        | 1, pos -> blockers.(pos) <- blockers.(pos) + 1
-        | _ -> ())
-    off;
+  (match masks with
+  | Some masks ->
+    let rec bit_index m = if m land 1 = 1 then 0 else 1 + bit_index (m lsr 1) in
+    Array.iter
+      (fun m ->
+        if m <> 0 && m land (m - 1) = 0 then begin
+          let i = bit_index m in
+          blockers.(i) <- blockers.(i) + 1
+        end)
+      masks
+  | None ->
+    List.iter
+      (fun i ->
+        let cand = Cube.raw_set c i 3 in
+        Array.iter (fun r -> if Cube.intersects cand r then blockers.(i) <- blockers.(i) + 1) relevant)
+      candidates);
   Atomic.incr total_expand_cubes;
   ignore (Atomic.fetch_and_add blocker_scans n_off);
   ignore (Atomic.fetch_and_add blocker_scans_naive (List.length candidates * n_off));
@@ -70,20 +83,36 @@ let expand_cube c ~offset =
     List.sort (fun a b -> compare blockers.(a) blockers.(b)) candidates
   in
   let raise_input acc i =
-    let cand = Cube.raw_set acc i 3 in
-    if disjoint_from_offset cand offset then cand else acc
+    match masks with
+    | Some masks ->
+      let keep = lnot (1 lsl i) in
+      if Array.exists (fun m -> m land keep = 0) masks then acc
+      else begin
+        Array.iteri (fun k m -> masks.(k) <- m land keep) masks;
+        Cube.raw_set acc i 3
+      end
+    | None ->
+      let cand = Cube.raw_set acc i 3 in
+      if Array.exists (Cube.intersects cand) relevant then acc else cand
   in
   let c = List.fold_left raise_input c ordered in
-  let raise_output acc o =
-    if Util.Bitvec.get (Cube.outputs acc) o then acc
-    else
-      let outs = Util.Bitvec.copy (Cube.outputs acc) in
-      Util.Bitvec.set outs o true;
-      let cand = Cube.with_outputs acc outs in
-      if disjoint_from_offset cand offset then cand else acc
-  in
-  let rec raise_outputs acc o = if o >= n_out then acc else raise_outputs (raise_output acc o) (o + 1) in
-  raise_outputs c 0
+  if Util.Bitvec.is_full (Cube.outputs c) then c
+  else begin
+    (* The input part is final: an output raise is blocked exactly by the
+       off-set cubes whose inputs meet it and whose outputs meet the
+       raised output part. *)
+    let meets = List.filter (Cube.inputs_meet c) (Array.to_list off) in
+    let raise_output acc o =
+      if Util.Bitvec.get (Cube.outputs acc) o then acc
+      else
+        let outs = Util.Bitvec.copy (Cube.outputs acc) in
+        Util.Bitvec.set outs o true;
+        if List.exists (fun r -> not (Util.Bitvec.disjoint outs (Cube.outputs r))) meets then acc
+        else Cube.with_outputs acc outs
+    in
+    let rec raise_outputs acc o = if o >= n_out then acc else raise_outputs (raise_output acc o) (o + 1) in
+    raise_outputs c 0
+  end
 
 let expand f ~offset =
   Obs.Span.with_ "espresso.expand" @@ fun () ->
@@ -102,25 +131,27 @@ let expand f ~offset =
   Cover.single_cube_containment
     (Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f) (List.rev primes))
 
+(* Each cube is tested against one shared array (the sorted cubes, then
+   dc) under an alive mask, so no [others ∪ dc] cover is rebuilt per cube.
+   Coverage is a tautology question, which does not depend on cube order. *)
 let irredundant ?dc f =
   Obs.Span.with_ "espresso.irredundant" @@ fun () ->
   let dc = match dc with Some d -> d | None -> default_dc f in
-  let rec go kept = function
-    | [] -> List.rev kept
-    | c :: rest ->
-      let others =
-        Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f)
-          (List.rev_append kept rest)
-      in
-      if Cover.covers_cube (Cover.union others dc) c then go kept rest
-      else go (c :: kept) rest
-  in
+  let n_in = Cover.num_inputs f and n_out = Cover.num_outputs f in
   (* Try to remove large cubes last: visiting small cubes first lets them be
      absorbed while big primes stay. *)
   let cs =
     List.sort (fun a b -> compare (Cube.literal_count b) (Cube.literal_count a)) (Cover.cubes f)
   in
-  Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f) (go [] cs)
+  let shared = Cover.union (Cover.make ~n_in ~n_out cs) dc in
+  let alive = Array.make (Cover.size shared) true in
+  let keep j = alive.(j) in
+  List.iteri
+    (fun i c ->
+      alive.(i) <- false;
+      if not (Cover.covers_cube_filtered shared ~keep c) then alive.(i) <- true)
+    cs;
+  Cover.make ~n_in ~n_out (List.filteri (fun i _ -> alive.(i)) cs)
 
 let irredundant_minimal ?dc f =
   let n_in = Cover.num_inputs f and n_out = Cover.num_outputs f in
@@ -197,16 +228,14 @@ let irredundant_minimal ?dc f =
 let essentials ?dc f =
   Obs.Span.with_ "espresso.essentials" @@ fun () ->
   let dc = match dc with Some d -> d | None -> default_dc f in
-  let all = Cover.cubes f in
+  let shared = Cover.union f dc in
+  let n = Cover.size f and all = Cover.to_array shared in
   let ess, rest =
     List.partition
       (fun c ->
-        let others = List.filter (fun d -> not (Cube.equal d c)) all in
-        let cover_others =
-          Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f) others
-        in
-        not (Cover.covers_cube (Cover.union cover_others dc) c))
-      all
+        let keep j = j >= n || not (Cube.equal all.(j) c) in
+        not (Cover.covers_cube_filtered shared ~keep c))
+      (Cover.cubes f)
   in
   ( Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f) ess,
     Cover.make ~n_in:(Cover.num_inputs f) ~n_out:(Cover.num_outputs f) rest )
@@ -264,7 +293,7 @@ let reduce ?dc f =
   in
   Cover.make ~n_in ~n_out (go [] cs)
 
-let minimize ?dc f =
+let minimize ?dc ?offset f =
   Obs.Span.with_ "espresso.minimize" @@ fun () ->
   Atomic.incr total_calls;
   let dc = match dc with Some d -> d | None -> default_dc f in
@@ -272,32 +301,17 @@ let minimize ?dc f =
   if Cover.is_empty f then
     { cover = f; iterations = 0; initial_cost; final_cost = initial_cost }
   else begin
-    let offset = Cover.complement (Cover.union f dc) in
-    let f = expand f ~offset in
-    let f = irredundant ~dc f in
-    let ess, rest = essentials ~dc f in
-    let dc_with_ess = Cover.union dc ess in
-    let rec loop f best_cost iters =
-      let f' = reduce ~dc:dc_with_ess f in
-      let f' = expand f' ~offset in
-      let f' = irredundant ~dc:dc_with_ess f' in
-      let c' = cost f' in
-      if c' < best_cost then
-        if iters < 16 then loop f' c' (iters + 1) else (f', iters + 1)
-      else (f, iters)
+    let offset =
+      match offset with Some r -> r | None -> Cover.complement (Cover.union f dc)
     in
-    let rest_min, iterations =
-      if Cover.is_empty rest then (rest, 0) else loop rest (cost rest) 0
-    in
+    let f = irredundant ~dc (expand f ~offset) in
     let final =
-      Obs.Span.with_ "espresso.containment" (fun () ->
-          Cover.single_cube_containment (Cover.union ess rest_min))
+      Obs.Span.with_ "espresso.containment" (fun () -> Cover.single_cube_containment f)
     in
-    ignore (Atomic.fetch_and_add total_iterations iterations);
-    { cover = final; iterations; initial_cost; final_cost = cost final }
+    { cover = final; iterations = 0; initial_cost; final_cost = cost final }
   end
 
-let cover ?dc f = (minimize ?dc f).cover
+let cover ?dc ?offset f = (minimize ?dc ?offset f).cover
 
 (* Expand visiting the most specific cubes last (the reverse of the main
    heuristic) — a different escape direction for LAST_GASP. *)
@@ -317,26 +331,22 @@ let expand_reversed f ~offset =
 
 let minimize_harder ?dc ?(gasp_rounds = 4) f =
   let dc = match dc with Some d -> d | None -> default_dc f in
-  let base = minimize ~dc f in
-  if Cover.is_empty base.cover then base
+  if Cover.is_empty f then minimize ~dc f
   else begin
     let offset = Cover.complement (Cover.union f dc) in
+    let base = minimize ~dc ~offset f in
     let rec gasp best round =
-      if round >= gasp_rounds then best
+      if round >= gasp_rounds || Cover.is_empty best then (best, round)
       else begin
         let cand = reduce ~dc best in
         let cand = expand_reversed cand ~offset in
         let cand = irredundant ~dc cand in
-        if cost cand < cost best then gasp cand (round + 1) else best
+        if cost cand < cost best then gasp cand (round + 1) else (best, round)
       end
     in
-    let final = gasp base.cover 0 in
-    {
-      cover = final;
-      iterations = base.iterations;
-      initial_cost = base.initial_cost;
-      final_cost = cost final;
-    }
+    let final, iterations = gasp base.cover 0 in
+    ignore (Atomic.fetch_and_add total_iterations iterations);
+    { base with cover = final; iterations; final_cost = cost final }
   end
 
 let verify ?dc ~original m =

@@ -139,11 +139,20 @@ let eval t minterm =
   acc
 
 let filter_map_cubes t ~n_out f =
-  let acc = ref [] in
-  for i = Array.length t.cubes - 1 downto 0 do
-    match f t.cubes.(i) with None -> () | Some c -> acc := c :: !acc
-  done;
-  unsafe ~n_in:t.n_in ~n_out (Array.of_list !acc)
+  let n = Array.length t.cubes in
+  if n = 0 then unsafe ~n_in:t.n_in ~n_out [||]
+  else begin
+    let out = Array.make n t.cubes.(0) in
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      match f t.cubes.(i) with
+      | None -> ()
+      | Some c ->
+        out.(!m) <- c;
+        incr m
+    done;
+    unsafe ~n_in:t.n_in ~n_out (if !m = n then out else Array.sub out 0 !m)
+  end
 
 let restrict_output t o =
   let on = Util.Bitvec.of_list 1 [ 0 ] in
@@ -157,8 +166,7 @@ let cofactor_var t i lit =
   (match lit with
   | Cube.Dc -> invalid_arg "Cover.cofactor_var: Dc"
   | Cube.Zero | Cube.One -> ());
-  let p = Cube.set (Cube.universe ~n_in:t.n_in ~n_out:t.n_out) i lit in
-  cofactor_cube t ~by:p
+  filter_map_cubes t ~n_out:t.n_out (fun c -> Cube.cofactor_var c i lit)
 
 (* --- Unate recursive paradigm ------------------------------------------- *)
 
@@ -224,18 +232,37 @@ let tautology t =
     in
     go 0
 
-let covers_cube t c =
+(* Per output [o] of [c], the kept cubes feeding [o] are cofactored by [c]
+   straight into one single-output cover, cube for cube what
+   [cofactor_cube (restrict_output t o) ~by:c] gives, then tested for
+   tautology. *)
+let covers_cube_filtered t ~keep c =
   check_arity t c;
   let outs = Cube.outputs c in
+  let one = Util.Bitvec.of_list 1 [ 0 ] in
+  let n = Array.length t.cubes in
+  let cofactored = Array.make n c in
   let rec check_output o =
     if o >= t.n_out then true
     else if not (Util.Bitvec.get outs o) then check_output (o + 1)
-    else
-      let fo = restrict_output t o in
-      let single = Cube.with_outputs c (Util.Bitvec.of_list 1 [ 0 ]) in
-      tautology_inputs (cofactor_cube fo ~by:single) && check_output (o + 1)
+    else begin
+      let m = ref 0 in
+      for j = 0 to n - 1 do
+        let a = t.cubes.(j) in
+        if keep j && Util.Bitvec.get (Cube.outputs a) o then
+          match Cube.cofactor_inputs a ~by:c ~outs:one with
+          | None -> ()
+          | Some x ->
+            cofactored.(!m) <- x;
+            incr m
+      done;
+      tautology_inputs (unsafe ~n_in:t.n_in ~n_out:1 (Array.sub cofactored 0 !m))
+      && check_output (o + 1)
+    end
   in
   check_output 0
+
+let covers_cube t c = covers_cube_filtered t ~keep:(fun _ -> true) c
 
 let covers t g = Array.for_all (covers_cube t) g.cubes
 
@@ -291,11 +318,8 @@ let complement t =
     let parts = ref [] in
     for o = t.n_out - 1 downto 0 do
       let single = complement_single (restrict_output t o) in
-      let widen c =
-        let outs = Util.Bitvec.of_list t.n_out [ o ] in
-        Cube.of_literals (List.init t.n_in (Cube.get c)) ~outs
-      in
-      parts := List.map widen (cubes single) @ !parts
+      let outs = Util.Bitvec.of_list t.n_out [ o ] in
+      parts := List.map (fun c -> Cube.with_outputs c outs) (cubes single) @ !parts
     done;
     unsafe ~n_in:t.n_in ~n_out:t.n_out (Array.of_list !parts)
   end

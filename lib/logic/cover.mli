@@ -84,6 +84,11 @@ val tautology : t -> bool
 val covers_cube : t -> Cube.t -> bool
 (** [covers_cube f c] iff every (minterm, output) of [c] is covered by [f]. *)
 
+val covers_cube_filtered : t -> keep:(int -> bool) -> Cube.t -> bool
+(** [covers_cube_filtered t ~keep c] = [covers_cube t' c], where [t'] holds
+    the cubes of [t] at the indices [keep] accepts, without building [t'].
+    Lets a caller test many cubes against subsets of one shared array. *)
+
 val covers : t -> t -> bool
 (** [covers f g] iff every cube of [g] is covered by [f]. *)
 

@@ -148,7 +148,7 @@ let input_universe t =
   let rec go k = k >= w || (t.ins.(k) = dc_masks.(fields_in t.n_in k) && go (k + 1)) in
   go 0
 
-let intersects a b =
+let inputs_meet a b =
   assert (a.n_in = b.n_in);
   let w = Array.length a.ins in
   let rec go k =
@@ -158,7 +158,9 @@ let intersects a b =
       let lm = low_masks.(fields_in a.n_in k) in
       (v lor (v lsr 1)) land lm = lm && go (k + 1)
   in
-  go 0 && not (Util.Bitvec.disjoint a.outs b.outs)
+  go 0
+
+let intersects a b = inputs_meet a b && not (Util.Bitvec.disjoint a.outs b.outs)
 
 let intersect a b =
   assert (a.n_in = b.n_in);
@@ -192,31 +194,27 @@ let distance a b =
   if Util.Bitvec.disjoint a.outs b.outs then incr d;
   !d
 
-(* [(count, pos)] where [count] is the number of input positions at which
-   [a] and [b] conflict (their literal sets are disjoint), capped at 2, and
-   [pos] is the first such position (or -1). The single-position case is
-   what expand's blocker-count cache consumes. *)
-let first_input_conflicts a b =
+(* Gather the low bit of each 2-bit field of a word (bit 2k) into bit k. *)
+let compress_fields x =
+  let x = x land 0x1555555555555555 in
+  let x = (x lor (x lsr 1)) land 0x3333333333333333 in
+  let x = (x lor (x lsr 2)) land 0x0F0F0F0F0F0F0F0F in
+  let x = (x lor (x lsr 4)) land 0x00FF00FF00FF00FF in
+  let x = (x lor (x lsr 8)) land 0x0000FFFF0000FFFF in
+  (x lor (x lsr 16)) land 0xFFFFFFFF
+
+let max_mask_inputs = 2 * fields_per_word
+
+let conflict_mask a b =
   assert (a.n_in = b.n_in);
-  let w = Array.length a.ins in
-  let count = ref 0 and pos = ref (-1) in
-  (try
-     for k = 0 to w - 1 do
-       let v = a.ins.(k) land b.ins.(k) in
-       let lm = low_masks.(fields_in a.n_in k) in
-       let empty = lm lxor ((v lor (v lsr 1)) land lm) in
-       if empty <> 0 then begin
-         if !pos < 0 then begin
-           let j = ref 0 in
-           while (empty lsr (2 * !j)) land 1 = 0 do incr j done;
-           pos := (k * fields_per_word) + !j
-         end;
-         count := !count + popcount empty;
-         if !count >= 2 then raise Exit
-       end
-     done
-   with Exit -> ());
-  (min !count 2, !pos)
+  if a.n_in > max_mask_inputs then invalid_arg "Cube.conflict_mask: too many inputs";
+  let m = ref 0 in
+  for k = Array.length a.ins - 1 downto 0 do
+    let v = a.ins.(k) land b.ins.(k) in
+    let lm = low_masks.(fields_in a.n_in k) in
+    m := (!m lsl fields_per_word) lor compress_fields (lm lxor ((v lor (v lsr 1)) land lm))
+  done;
+  !m
 
 let supercube t = t
 
@@ -225,17 +223,36 @@ let supercube2 a b =
   let ins = Array.mapi (fun k x -> x lor b.ins.(k)) a.ins in
   { a with ins; outs = Util.Bitvec.union a.outs b.outs }
 
+let cofactor_ins a p =
+  Array.mapi (fun k x -> x lor (lnot p.ins.(k) land dc_masks.(fields_in a.n_in k))) a.ins
+
 let cofactor a ~by:p =
   assert (a.n_in = p.n_in);
   if not (intersects a p) then None
-  else begin
-    let ins =
-      Array.mapi
-        (fun k x -> x lor (lnot p.ins.(k) land dc_masks.(fields_in a.n_in k)))
-        a.ins
-    in
+  else
     let outs = Util.Bitvec.union a.outs (Util.Bitvec.complement p.outs) in
-    Some { a with ins; outs }
+    Some { a with ins = cofactor_ins a p; outs }
+
+let cofactor_inputs a ~by:p ~outs =
+  if inputs_meet a p then Some { a with ins = cofactor_ins a p; outs } else None
+
+(* Cofactor by the universe cube with field [i] set to [l]: the cube meets
+   it iff field [i] meets [l] and the output part is non-empty, and then
+   field [i] becomes [a_i ∪ ¬l = Dc] while every other field and the
+   outputs (∪ ¬full = ∪ ∅) are unchanged. *)
+let cofactor_var a i l =
+  let v =
+    match l with
+    | Zero -> lit_zero
+    | One -> lit_one
+    | Dc -> invalid_arg "Cube.cofactor_var: Dc"
+  in
+  let k = i / fields_per_word and sh = 2 * (i mod fields_per_word) in
+  if (a.ins.(k) lsr sh) land v = 0 || Util.Bitvec.is_empty a.outs then None
+  else begin
+    let ins = Array.copy a.ins in
+    ins.(k) <- ins.(k) lor (lit_dc lsl sh);
+    Some { a with ins }
   end
 
 let literal_count t =

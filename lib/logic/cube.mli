@@ -69,6 +69,10 @@ val contains : t -> t -> bool
 val intersect : t -> t -> t option
 (** Set intersection; [None] when empty. *)
 
+val inputs_meet : t -> t -> bool
+(** [inputs_meet a b] iff the input parts share a minterm (output parts
+    not considered). *)
+
 val intersects : t -> t -> bool
 (** [intersects a b] iff the cubes share a (minterm, output) pair —
     equivalent to [distance a b = 0] but early-exits on the first
@@ -82,11 +86,14 @@ val distance : t -> t -> int
 (** Number of input positions whose literal sets are disjoint, plus 1 if the
     output parts are disjoint. Distance 0 iff the cubes intersect. *)
 
-val first_input_conflicts : t -> t -> int * int
-(** [first_input_conflicts a b] is [(count, pos)]: the number of input
-    positions at which the literal sets are disjoint, capped at 2, and the
-    first such position ([-1] if none). Output parts are not considered.
-    Feeds expand's blocker-count cache. *)
+val max_mask_inputs : int
+(** Widest cubes {!conflict_mask} accepts (62). *)
+
+val conflict_mask : t -> t -> int
+(** [conflict_mask a b] has bit [i] set iff the literal sets of [a] and
+    [b] at input position [i] are disjoint (output parts not considered),
+    so its popcount is the input part of {!distance}. At most
+    {!max_mask_inputs} inputs. Feeds expand's raise test. *)
 
 val supercube : t -> t
 (** Identity (for symmetry with {!supercube2}). *)
@@ -97,6 +104,17 @@ val supercube2 : t -> t -> t
 val cofactor : t -> by:t -> t option
 (** Espresso generalized cofactor [a / p]; [None] when [a] and [p] are
     disjoint. Input positions: [a_i ∪ ¬p_i]; outputs: [a_o ∪ ¬p_o]. *)
+
+val cofactor_inputs : t -> by:t -> outs:Util.Bitvec.t -> t option
+(** The input half of {!cofactor}: [None] when the input parts of [a] and
+    [p] are disjoint, else [a]'s input part cofactored by [p]'s with the
+    output part [outs]. Output parts are not compared. *)
+
+val cofactor_var : t -> int -> literal -> t option
+(** [cofactor_var a i l] = [cofactor a ~by:(set (universe ...) i l)],
+    outputs included, without building the universe cube: field [i] is
+    checked against [l] and the output part for emptiness, then field [i]
+    becomes [Dc]. [Dc] is rejected. *)
 
 val literal_count : t -> int
 (** Number of non-[Dc] input positions. *)

@@ -38,11 +38,50 @@ let cube_ops_vs_naive =
       && Cube.literal_count a = N.literal_count na
       && Cube.matches a c.cc_minterm = N.matches na c.cc_minterm
       && Cube.to_string a = N.to_string na
+      && Cube.inputs_meet a b
+         = List.for_all
+             (fun i -> N.raw_get na i land N.raw_get nb i <> 0)
+             (List.init c.cc_n_in Fun.id)
       && (let ok = ref true in
           for i = 0 to c.cc_n_in - 1 do
             if Cube.raw_get a i <> N.raw_get na i || Cube.get a i <> N.get na i then ok := false
           done;
-          !ok))
+          !ok)
+      && (c.cc_n_in > Cube.max_mask_inputs
+         ||
+         let m = Cube.conflict_mask a b in
+         m lsr c.cc_n_in = 0
+         && List.for_all
+              (fun i -> (m lsr i) land 1 = 1 = (N.raw_get na i land N.raw_get nb i = 0))
+              (List.init c.cc_n_in Fun.id)))
+
+(* Covers equal cube for cube, in order. *)
+let same_cover a b =
+  Cover.size a = Cover.size b && Array.for_all2 Cube.equal (Cover.to_array a) (Cover.to_array b)
+
+(* The fast single-variable cofactor (checks field [i] and the output part,
+   then sets field [i] to Dc) against the general cofactor by the universe
+   cube with field [i] set, packed and naive, outputs included — and the
+   cover-level [cofactor_var] against [cofactor_cube] cube for cube. Empty
+   output parts are generated, so the "disjoint outputs" branch shows. *)
+let cube_cofactor_var =
+  Runner.make ~name:"logic/cofactor-var" ~count:150 (Gens.arb_cube_case ())
+    (fun (c : Gens.cube_case) ->
+      let a, b = Gens.cube_case_to_cubes c in
+      let cover = Cover.make ~n_in:c.cc_n_in ~n_out:c.cc_n_out [ a; b ] in
+      let univ = Cube.universe ~n_in:c.cc_n_in ~n_out:c.cc_n_out in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun l ->
+              let p = Cube.set univ i l in
+              let fast = Cube.cofactor_var a i l in
+              opt_equal Cube.equal fast (Cube.cofactor a ~by:p)
+              && opt_equal (fun x y -> N.equal (N.of_cube x) y) fast
+                   (N.cofactor (N.of_cube a) ~by:(N.of_cube p))
+              && same_cover (Cover.cofactor_var cover i l) (Cover.cofactor_cube cover ~by:p))
+            [ Cube.Zero; Cube.One ])
+        (List.init c.cc_n_in Fun.id))
 
 (* Algebraic laws of the packed kernel alone. *)
 let cube_algebra =
@@ -105,6 +144,73 @@ let minimize_verifies =
       let r = Espresso.Minimize.minimize ~dc f in
       Espresso.Minimize.verify ~dc ~original:f r.Espresso.Minimize.cover
       && r.Espresso.Minimize.final_cost <= r.Espresso.Minimize.initial_cost)
+
+(* A caller-supplied off-set equal to [¬(f ∪ dc)] changes nothing. *)
+let minimize_offset =
+  Runner.make ~name:"espresso/minimize-offset" ~count:60
+    (Gens.arb_cover_dc_spec ~widths:Gens.small_widths ())
+    (fun (s : Gens.cover_dc_spec) ->
+      let f = Gens.cover_of_spec s.fd_f and dc = Gens.cover_of_spec s.fd_dc in
+      let plain = Espresso.Minimize.minimize ~dc f in
+      let given =
+        Espresso.Minimize.minimize ~dc ~offset:(Cover.complement (Cover.union f dc)) f
+      in
+      same_cover plain.Espresso.Minimize.cover given.Espresso.Minimize.cover
+      && plain.Espresso.Minimize.initial_cost = given.Espresso.Minimize.initial_cost
+      && plain.Espresso.Minimize.final_cost = given.Espresso.Minimize.final_cost
+      && plain.Espresso.Minimize.iterations = given.Espresso.Minimize.iterations)
+
+(* Phase assignment builds every candidate's on-set and off-set from
+   per-output complements computed once. The reference runs the same
+   greedy and exhaustive searches with a fresh [apply_phases] and a full
+   [Minimize.cover] per candidate; phases, product counts and the cover,
+   cube for cube, must agree. *)
+let phase_reference_search ?dc ~exhaustive f =
+  let module P = Espresso.Phase in
+  let n_out = Cover.num_outputs f in
+  let min_for phases = Espresso.Minimize.cover ?dc (P.apply_phases ?dc f phases) in
+  let base = min_for (Array.make n_out true) in
+  let best = ref (Array.make n_out true, base) in
+  let try_ phases =
+    let m = min_for phases in
+    if Cover.size m < Cover.size (snd !best) then begin
+      best := (phases, m);
+      true
+    end
+    else false
+  in
+  if exhaustive then
+    for mask = 1 to (1 lsl n_out) - 1 do
+      ignore (try_ (Array.init n_out (fun o -> mask land (1 lsl o) = 0)))
+    done
+  else begin
+    let improved = ref true and rounds = ref 0 in
+    while !improved && !rounds < 3 do
+      improved := false;
+      incr rounds;
+      for o = 0 to n_out - 1 do
+        let cand = Array.copy (fst !best) in
+        cand.(o) <- not cand.(o);
+        if try_ cand then improved := true
+      done
+    done
+  end;
+  (fst !best, snd !best, Cover.size base)
+
+let phase_offset_memo =
+  Runner.make ~name:"espresso/phase-offset-memo" ~count:80
+    (Gens.arb_cover_dc_spec ~widths:Gens.small_widths ~max_out:6 ())
+    (fun (s : Gens.cover_dc_spec) ->
+      let module P = Espresso.Phase in
+      let f = Gens.cover_of_spec s.fd_f and dc = Gens.cover_of_spec s.fd_dc in
+      let agrees ~exhaustive (r : P.result) =
+        let phases, cover, all_pos = phase_reference_search ~dc ~exhaustive f in
+        r.P.phases = phases && same_cover r.P.cover cover
+        && r.P.products_all_positive = all_pos
+        && r.P.products_optimized = Cover.size cover
+      in
+      agrees ~exhaustive:false (P.optimize ~dc f)
+      && agrees ~exhaustive:true (P.optimize_exhaustive ~dc f))
 
 let harder_never_worse =
   Runner.make ~name:"espresso/harder-never-worse" ~count:40
@@ -1125,9 +1231,12 @@ let all =
   [
     cube_ops_vs_naive;
     cube_algebra;
+    cube_cofactor_var;
     cover_scc;
     cover_complement;
     minimize_verifies;
+    minimize_offset;
+    phase_offset_memo;
     harder_never_worse;
     qm_optimality;
     pla_eval;

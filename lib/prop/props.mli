@@ -1,6 +1,7 @@
 (** The built-in property battery: differential checks of the packed cube
     kernel against the byte-per-literal reference, espresso against exact
-    Quine–McCluskey, PLA/cascade structures against truth-table oracles,
+    Quine–McCluskey, phase assignment's shared off-sets against
+    per-candidate recomputation, PLA/cascade structures against truth-table oracles,
     programming-protocol round-trips, repair revalidation through defect
     maps, crossbar resolve vs switch-level simulation, folding witnesses,
     FPGA inverter absorption, the flat-array placer against the
@@ -13,9 +14,10 @@
 
 val all : Runner.t list
 (** Every property, in display order. Names are stable (corpus files refer
-    to them): [cube/ops-vs-naive], [cube/algebra],
+    to them): [cube/ops-vs-naive], [cube/algebra], [logic/cofactor-var],
     [cover/scc-preserves-function], [cover/complement-partition],
-    [espresso/minimize-verifies], [espresso/harder-never-worse],
+    [espresso/minimize-verifies], [espresso/minimize-offset],
+    [espresso/phase-offset-memo], [espresso/harder-never-worse],
     [espresso/qm-optimality], [pla/eval-matches-cover],
     [cascade/network-eval], [cascade/cover-embedding],
     [program/charge-roundtrip], [program_hw/transistor-roundtrip],

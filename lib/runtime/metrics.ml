@@ -139,13 +139,14 @@ let reset t =
       Hashtbl.iter (fun _ g -> match g.value with Set _ -> g.value <- Set 0.0 | Callback _ -> ()) t.gauges;
       Hashtbl.iter (fun _ h -> Histogram.reset h) t.histograms)
 
-(* Wire the library-wide work counters (simulator sweeps, espresso rounds)
+(* Wire the library-wide work counters (simulator sweeps, espresso work)
    into a registry as callback gauges. *)
 let register_library_gauges t =
   register_gauge t "sim.phases_total" (fun () -> float_of_int (Circuit.Sim.phases_total ()));
   register_gauge t "sim.sweeps_total" (fun () -> float_of_int (Circuit.Sim.sweeps_total ()));
   register_gauge t "espresso.minimize_calls" (fun () ->
       float_of_int (Espresso.Minimize.calls_total ()));
+  (* LAST_GASP rounds [minimize_harder] accepted; [minimize] adds none. *)
   register_gauge t "espresso.minimize_iterations" (fun () ->
       float_of_int (Espresso.Minimize.iterations_total ()));
   register_gauge t "espresso.expand_cubes" (fun () ->

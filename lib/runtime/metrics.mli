@@ -85,5 +85,7 @@ val reset : t -> unit
 
 val register_library_gauges : t -> unit
 (** Register callback gauges exposing the library-wide work counters:
-    [sim.phases_total], [sim.sweeps_total], [espresso.minimize_calls] and
-    [espresso.minimize_iterations]. *)
+    [sim.phases_total], [sim.sweeps_total], [espresso.minimize_calls],
+    [espresso.minimize_iterations] (LAST_GASP rounds accepted by
+    [Minimize.minimize_harder]; plain [minimize] runs no loop) and the
+    expand and containment work counters. *)

@@ -64,7 +64,7 @@ let test_minimize_result_metadata () =
   checki "initial cubes" (Cover.size f) c0;
   checki "final cubes" (Cover.size r.Min.cover) c1;
   checkb "literals recorded" true (l0 >= 0 && l1 >= 0);
-  checkb "iterations non-negative" true (r.Min.iterations >= 0)
+  checki "minimize runs no loop" 0 r.Min.iterations
 
 (* --- minimize: quality (known optima) ------------------------------------- *)
 
@@ -157,6 +157,43 @@ let test_expand_grows_with_dc_offset () =
   let e = Min.expand on ~offset in
   checki "literal dropped" 1 (Cover.literal_total e)
 
+(* Expand's result checked against the definition of a prime, on both
+   sides of the 62-input limit of the conflict-mask raise test: every cube
+   of [f] lies in an expanded cube, no expanded cube meets the off-set,
+   and raising any literal or adding any output would. *)
+let test_expand_primes_wide () =
+  let rng = Util.Rng.create 6262 in
+  List.iter
+    (fun n_in ->
+      for _ = 1 to 6 do
+        let n_out = 1 + Util.Rng.int rng 3 in
+        let f = Cover.random rng ~n_in ~n_out ~n_cubes:(2 + Util.Rng.int rng 4) ~dc_bias:0.93 in
+        let offset = Cover.complement f in
+        let e = Min.expand f ~offset in
+        let off = Cover.to_array offset in
+        let meets c = Array.exists (Cube.intersects c) off in
+        List.iter
+          (fun c ->
+            checkb "f cube covered" true (List.exists (fun p -> Cube.contains p c) (Cover.cubes e)))
+          (Cover.cubes f);
+        List.iter
+          (fun p ->
+            checkb "disjoint from off-set" false (meets p);
+            for i = 0 to n_in - 1 do
+              if Cube.get p i <> Cube.Dc then
+                checkb "input raise blocked" true (meets (Cube.set p i Cube.Dc))
+            done;
+            for o = 0 to n_out - 1 do
+              if not (Util.Bitvec.get (Cube.outputs p) o) then begin
+                let outs = Util.Bitvec.copy (Cube.outputs p) in
+                Util.Bitvec.set outs o true;
+                checkb "output raise blocked" true (meets (Cube.with_outputs p outs))
+              end
+            done)
+          (Cover.cubes e)
+      done)
+    [ 5; 31; 32; 62; 63; 66 ]
+
 let test_irredundant_removes () =
   let n_in = 2 in
   (* x0 + x1 + x0x1: the last cube is redundant. *)
@@ -237,6 +274,27 @@ let test_essentials_split () =
   checki "both essential" 2 (Cover.size ess);
   checki "none left" 0 (Cover.size rest)
 
+(* Why [minimize] has no essentials split and no REDUCE loop: after
+   IRREDUNDANT no cube is covered by the others ∪ dc, which is exactly the
+   relative-essential test, so every cube is essential and the rest the
+   loop would work on is empty. *)
+let test_irredundant_all_essential () =
+  let rng = Util.Rng.create 2024 in
+  for _ = 1 to 200 do
+    let n_in = 3 + Util.Rng.int rng 8 in
+    let n_out = 1 + Util.Rng.int rng 4 in
+    let f = Cover.random rng ~n_in ~n_out ~n_cubes:(1 + Util.Rng.int rng 20) ~dc_bias:0.4 in
+    let dc =
+      if Util.Rng.bool rng then Cover.empty ~n_in ~n_out
+      else Cover.random rng ~n_in ~n_out ~n_cubes:(1 + Util.Rng.int rng 3) ~dc_bias:0.3
+    in
+    let offset = Cover.complement (Cover.union f dc) in
+    let irr = Min.irredundant ~dc (Min.expand f ~offset) in
+    let ess, rest = Min.essentials ~dc irr in
+    checki "every cube essential" (Cover.size irr) (Cover.size ess);
+    checki "empty rest" 0 (Cover.size rest)
+  done
+
 (* --- verify ---------------------------------------------------------------- *)
 
 let test_verify_detects_wrong () =
@@ -256,7 +314,10 @@ let test_harder_never_worse () =
     let base = Min.minimize f in
     let harder = Min.minimize_harder f in
     checkb "still equivalent" true (equiv f harder.Min.cover);
-    checkb "not worse" true (harder.Min.final_cost <= base.Min.final_cost)
+    checkb "not worse" true (harder.Min.final_cost <= base.Min.final_cost);
+    checkb "rounds within budget" true (harder.Min.iterations >= 0 && harder.Min.iterations <= 4);
+    checkb "an accepted round improves" true
+      (harder.Min.iterations = 0 || harder.Min.final_cost < base.Min.final_cost)
   done
 
 let test_harder_known_optima_stable () =
@@ -535,9 +596,13 @@ let () =
         [
           Alcotest.test_case "expand vs offset" `Quick test_expand_against_offset;
           Alcotest.test_case "expand uses dc space" `Quick test_expand_grows_with_dc_offset;
+          Alcotest.test_case "expand primes either side of 62 inputs" `Quick
+            test_expand_primes_wide;
           Alcotest.test_case "irredundant removes" `Quick test_irredundant_removes;
           Alcotest.test_case "reduce preserves" `Quick test_reduce_preserves;
           Alcotest.test_case "essentials split" `Quick test_essentials_split;
+          Alcotest.test_case "irredundant leaves no inessential cube" `Quick
+            test_irredundant_all_essential;
           Alcotest.test_case "minimal irredundant" `Quick test_irredundant_minimal;
           Alcotest.test_case "verify detects wrong result" `Quick test_verify_detects_wrong;
         ] );
