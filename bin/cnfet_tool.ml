@@ -981,56 +981,51 @@ let fuzz_cmd =
 (* --- chaos --------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let run seed budget max_rounds spares jobs out show_metrics trace =
-    match
-      let s = String.trim budget in
-      let s = if String.length s > 1 && s.[String.length s - 1] = 's' then String.sub s 0 (String.length s - 1) else s in
-      float_of_string_opt s
-    with
-    | None ->
-      Printf.eprintf "chaos: bad --budget %S (want seconds, e.g. 20 or 20s)\n" budget;
-      2
-    | Some budget_s ->
-      with_tracing trace @@ fun () ->
-      Printf.printf "chaos run (seed %d, budget %gs, max %d rounds)\n%!" seed budget_s max_rounds;
-      let report = Runtime.Chaos.run ~seed ~budget_s ~max_rounds ~spare_rows:spares ?jobs () in
-      print_string (Runtime.Chaos.summary report);
-      (match out with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        output_string oc (Runtime.Chaos.to_json report);
-        close_out oc;
-        Printf.printf "report written to %s\n" path);
-      if show_metrics then begin
-        print_endline "--- metrics ---";
-        print_string (Runtime.Metrics.dump Runtime.Metrics.global)
-      end;
-      (* The self-healing gate: every detectable injected fault must end
-         up repaired (or proven unrepairable within the spare budget),
-         and the supervised batches must have stayed bit-correct. *)
-      if Runtime.Chaos.detected_unrepaired report > 0 then begin
-        Printf.eprintf "chaos: FAIL - %d detected faults left unrepaired\n"
-          (Runtime.Chaos.detected_unrepaired report);
-        1
-      end
-      else if report.Runtime.Chaos.miscompares > 0 then begin
-        Printf.eprintf "chaos: FAIL - %d supervised evaluations differed from the oracle\n"
-          report.Runtime.Chaos.miscompares;
-        1
-      end
-      else 0
+  let run seed max_rounds spares jobs out show_metrics trace =
+    with_tracing trace @@ fun () ->
+    Printf.printf "chaos run (seed %d, %d rounds)\n%!" seed max_rounds;
+    let report = Runtime.Chaos.run ~seed ~max_rounds ~spare_rows:spares ?jobs () in
+    print_string (Runtime.Chaos.summary report);
+    (match out with
+    | None -> ()
+    | Some path ->
+      let oc = open_out path in
+      output_string oc (Assess.Json.to_string ~indent:2 (Runtime.Chaos.to_json report) ^ "\n");
+      close_out oc;
+      Printf.printf "report written to %s\n" path);
+    if show_metrics then begin
+      print_endline "--- metrics ---";
+      print_string (Runtime.Metrics.dump Runtime.Metrics.global)
+    end;
+    (* The self-healing gate: the run must have injected something, every
+       detectable injected fault must end up repaired (or proven
+       unrepairable within the spare budget), and the batches must have
+       stayed bit-correct. *)
+    if report.Runtime.Chaos.injected_total = 0 then begin
+      prerr_endline "chaos: FAIL - the run injected no faults";
+      1
+    end
+    else if Runtime.Chaos.detected_unrepaired report > 0 then begin
+      Printf.eprintf "chaos: FAIL - %d detected faults left unrepaired\n"
+        (Runtime.Chaos.detected_unrepaired report);
+      1
+    end
+    else if report.Runtime.Chaos.miscompares > 0 then begin
+      Printf.eprintf "chaos: FAIL - %d batch evaluations differed from the oracle\n"
+        report.Runtime.Chaos.miscompares;
+      1
+    end
+    else 0
   in
   let seed =
     let doc = "Fault-plan seed: the injected fault set is a pure function of it." in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let budget =
-    let doc = "Wall-clock budget in seconds (a trailing 's' is accepted: 20s)." in
-    Arg.(value & opt string "10" & info [ "budget" ] ~docv:"SECONDS" ~doc)
-  in
   let max_rounds =
-    let doc = "Stop after $(docv) chaos rounds even if budget remains." in
+    let doc =
+      "Number of chaos rounds. With $(b,--seed) and $(b,--spares) it fixes every count in the \
+       report."
+    in
     Arg.(value & opt int 50 & info [ "rounds" ] ~docv:"N" ~doc)
   in
   let spares =
@@ -1052,7 +1047,7 @@ let chaos_cmd =
   let doc = "Inject runtime faults and prove the detect/repair/re-verify loop heals them" in
   Cmd.v
     (Cmd.info "chaos" ~doc ~exits)
-    Term.(const run $ seed $ budget $ max_rounds $ spares $ jobs $ out $ show_metrics $ trace_arg)
+    Term.(const run $ seed $ max_rounds $ spares $ jobs $ out $ show_metrics $ trace_arg)
 
 (* --- serve / loadgen ------------------------------------------------------ *)
 

@@ -14,7 +14,8 @@
     site is a {e pure function} of [(seed, site, index)]: a SplitMix
     stream keyed by hashing the coordinates, never shared mutable state,
     so the set of injected faults is identical no matter how pool
-    domains interleave and a seeded chaos run is exactly reproducible.
+    domains interleave and a seeded chaos run is exactly reproducible
+    (its [Runtime.Chaos.deterministic_json] view, at any job count).
 
     Only one engine can be armed at a time (they are process-global, like
     {!Obs.Trace} collectors). Arming is not nestable. *)

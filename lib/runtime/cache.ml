@@ -393,6 +393,28 @@ let compile_of_pla_hit t pla_v =
 
 let compile_of_pla t pla_v = fst (compile_of_pla_hit t pla_v)
 
+(* --- the failure policy -------------------------------------------------- *)
+
+type engine = Compiled of compiled | Uncompiled of Pla.t
+
+(* Stateless, so the outcome for a cover depends only on what the cache
+   holds and on each key's own [Cache_store] decision, never on how
+   concurrent callers interleave. A rotten entry ([Corrupt_entry]
+   self-evicts) gets one recompile; if the cover key rots twice in a
+   row, the mapped PLA is compiled under its plane-content key (a
+   distinct entry) before giving up and evaluating uncompiled. *)
+let evaluator t cover =
+  match compile_hit t cover with
+  | compiled, hit -> (Compiled compiled, hit)
+  | exception Corrupt_entry _ -> (
+    match compile_hit t cover with
+    | compiled, hit -> (Compiled compiled, hit)
+    | exception Corrupt_entry _ -> (
+      let pla_v = Pla.of_cover cover in
+      match compile_of_pla_hit t pla_v with
+      | compiled, hit -> (Compiled compiled, hit)
+      | exception Corrupt_entry _ -> (Uncompiled pla_v, false)))
+
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)

@@ -22,8 +22,7 @@ exception Corrupt_entry of { key : key }
     served (or just stored, under {!Fault.Inject} chaos) no longer
     matches the integrity checksum recorded at compile time. The rotten
     entry is evicted before raising, so a plain retry recompiles from
-    source; {!Supervisor} additionally counts these toward its
-    circuit breaker and falls back to uncompiled evaluation. *)
+    source; {!evaluator} is the policy built on that. *)
 
 val key_of_cover : ?inverted_outputs:bool array -> Logic.Cover.t -> key
 (** The cache key {!compile} uses: digest of [n_in], [n_out], the cube
@@ -56,6 +55,25 @@ val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
     {!compile_hit}. *)
 
 val pla : compiled -> Cnfet.Pla.t
+
+(** {2 Failure policy} *)
+
+type engine =
+  | Compiled of compiled
+  | Uncompiled of Cnfet.Pla.t
+      (** the mapped PLA, to evaluate directly with [Pla.eval] *)
+
+val evaluator : t -> Logic.Cover.t -> engine * bool
+(** The one recovery policy for a rotting cache, used by the serve
+    daemon and the chaos loop alike. {!compile_hit}; on
+    {!Corrupt_entry}, one recompile; if that rots too, {!compile_of_pla_hit}
+    on the mapped PLA (a distinct key); if that rots as well,
+    [Uncompiled]. Stateless: which engine comes back, and how many
+    corruptions the call records, depend only on the cache's contents
+    and each key's own {!Fault.Inject} [Cache_store] decision, never on
+    how concurrent callers interleave. The flag is the per-call hit
+    flag of the lookup that succeeded ([false] for [Uncompiled]).
+    Results are bit-identical on either engine. *)
 
 val eval : compiled -> bool array -> bool array
 (** Compiled functional evaluation of one vector, run as a one-lane

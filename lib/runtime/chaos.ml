@@ -1,7 +1,10 @@
 (* The inject → detect → repair → re-verify loop. Orchestration runs in
-   the submitting domain; only the supervised batch scenario fans out to
-   pool workers, so every fault-site draw below happens in a fixed,
-   deterministic order for a given seed. *)
+   the submitting domain; only the batch scenario fans out to pool
+   workers, and it reaches the cache through [Cache.evaluator], the same
+   stateless policy the serve daemon runs. Nothing but the latency
+   readings looks at a clock, so every fault-site draw below happens in
+   a fixed order and every count in the report is a function of the
+   seed, the plan and the round count. *)
 
 module Pla = Cnfet.Pla
 module Plane = Cnfet.Plane
@@ -24,7 +27,6 @@ type scenario = {
 
 type report = {
   seed : int;
-  budget_s : float;
   wall_s : float;
   rounds : int;
   jobs : int;
@@ -35,11 +37,8 @@ type report = {
   miscompares : int;
   worker_crashes : int;
   retries : int;
-  deadline_expiries : int;
-  serial_fallbacks : int;
   cache_corruptions : int;
   fallback_evals : int;
-  breaker_opens : int;
   degradation : float;
   recoveries : int;
   recovery_p50_s : float;
@@ -178,11 +177,34 @@ let workloads () =
          Logic.Cover.num_inputs c <= 6 && List.length (Logic.Cover.cubes c) <= 24)
   |> List.map make_workload
 
+(* --- bounded retry over the pool ------------------------------------------- *)
+
+(* Attempts per batch task: an injected raise or worker crash costs one
+   resubmission, under a fresh [Pool_task] index; a task that fails this
+   many times ends the run with its last exception. *)
+let max_attempts = 4
+
+(* [Pool.run_all] with a per-index retry: every thunk is in flight at
+   once, then each failure is resubmitted alone, in index order, so the
+   submission sequence (and with it every [Pool_task] decision) is a
+   pure function of the seed. *)
+let run_all_retrying pool ~retries thunks =
+  let first = Array.map (Pool.submit pool) thunks in
+  Array.mapi
+    (fun i fut ->
+      let rec settle attempt = function
+        | Ok v -> v
+        | Error (e, bt) when attempt >= max_attempts -> Printexc.raise_with_backtrace e bt
+        | Error _ ->
+          incr retries;
+          settle (attempt + 1) (Pool.await_result (Pool.submit pool thunks.(i)))
+      in
+      settle 1 (Pool.await_result fut))
+    first
+
 (* --- the run ------------------------------------------------------------- *)
 
-let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?jobs
-    ?(plan = Inject.default) () =
-  let metrics = Metrics.create () in
+let run ?(seed = 42) ?(max_rounds = 50) ?(spare_rows = 2) ?jobs ?(plan = Inject.default) () =
   let clock = Obs.Clock.monotonic in
   let now_s () = Int64.to_float (clock ()) /. 1e9 in
   let t0 = now_s () in
@@ -201,26 +223,16 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
   and xbar_t = tally "crossbar_scrub" in
   let miscompares = Atomic.make 0 in
   let evals = Atomic.make 0 in
-  let tasks = ref 0 in
+  let fallback_evals = Atomic.make 0 in
+  let tasks = ref 0 and retries = ref 0 in
   let xp_ctr = ref 0 and pg_ctr = ref 1_000_000_000 in
   let reprograms = ref 0 in
   Inject.with_armed ~seed plan @@ fun engine ->
-  Pool.with_pool ~metrics ?jobs @@ fun pool ->
-  let sup =
-    Supervisor.create ~metrics
-      ~config:
-        {
-          Supervisor.default_config with
-          max_attempts = 4;
-          deadline_s = Some 0.5;
-          crash_tolerance = 64;
-        }
-      pool
-  in
+  Pool.with_pool ?jobs @@ fun pool ->
   let cache = Cache.create () in
 
-  (* Scenario 1 — supervised batch sweep: full input space through the
-     pool and the breaker-guarded cache, checked against the oracle. *)
+  (* Scenario 1 — batch sweep: the full input space through the pool and
+     the cache's failure policy, checked against the oracle. *)
   let batch_round w =
     batch_t.rounds <- batch_t.rounds + 1;
     let n = Array.length w.golden in
@@ -233,76 +245,60 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
           fun () ->
             for m = lo to hi - 1 do
               Atomic.incr evals;
-              let out = Supervisor.eval sup cache w.cover (minterm n_in m) in
+              let v = minterm n_in m in
+              let out =
+                match Cache.evaluator cache w.cover with
+                | Cache.Compiled compiled, _ -> Cache.eval compiled v
+                | Cache.Uncompiled pla, _ ->
+                  Atomic.incr fallback_evals;
+                  Pla.eval pla v
+              in
               if out <> w.golden.(m) then Atomic.incr miscompares
             done)
     in
     tasks := !tasks + n_chunks;
-    ignore (Supervisor.run_all ~label:("chaos." ^ w.w_name) sup thunks)
+    ignore (run_all_retrying pool ~retries thunks)
   in
 
-  (* Scenario 2 — crosspoint faults: ATPG detect, spare-row repair,
-     physical reprogram, functional re-verify through the defects. *)
+  (* Scenario 2 — crosspoint faults: [recover] (ATPG detect, spare-row
+     repair, re-verify through the defects), then a physical reprogram
+     of the repaired AND plane when the array is small enough to
+     simulate. *)
+  let reprogram_ok w assignment =
+    let rows = Pla.num_products w.pla + spare_rows in
+    let ap = Pla.and_plane (Repair.apply w.pla assignment ~rows) in
+    if !reprograms < 5 && Plane.rows ap * Plane.cols ap <= 64 then begin
+      incr reprograms;
+      let hw = Program_hw.build ~rows:(Plane.rows ap) ~cols:(Plane.cols ap) () in
+      Program_hw.program_plane hw ap;
+      Program_hw.verify hw ap
+    end
+    else true
+  in
   let crosspoint_round w =
     xpoint_t.rounds <- xpoint_t.rounds + 1;
-    let products = Pla.num_products w.pla in
-    let rows = products + spare_rows in
+    let rows = Pla.num_products w.pla + spare_rows in
     let and_cols = Plane.cols (Pla.and_plane w.pla) in
     let n_out = Plane.rows (Pla.or_plane w.pla) in
     let and_defects, inj_a = draw_defect_map xp_ctr ~rows ~cols:and_cols in
     let or_defects, inj_o = draw_defect_map xp_ctr ~rows:n_out ~cols:rows in
     let injected = inj_a + inj_o in
     xpoint_t.injected <- xpoint_t.injected + injected;
-    if injected > 0 then begin
-      (* Detection on the identity mapping (the array as programmed). *)
-      let and_id = truncate_map and_defects ~rows:products ~cols:and_cols in
-      let or_id = truncate_map or_defects ~rows:n_out ~cols:products in
-      let n_in = Pla.num_inputs w.pla in
-      let miscompare v =
-        defective_outputs ~and_defects:and_id ~or_defects:or_id w.pla v <> Pla.eval w.pla v
-      in
-      if not (List.exists miscompare w.tests) then
-        (* All faults masked on the test set: nothing observable to heal. *)
-        xpoint_t.undetected <- xpoint_t.undetected + injected
-      else begin
-        xpoint_t.detected <- xpoint_t.detected + injected;
-        let healed =
-          timed_recovery @@ fun () ->
-          match Repair.repair ~spare_rows ~and_defects ~or_defects w.pla with
-          | Repair.Unrepairable -> `Unrepairable
-          | Repair.Repaired assignment ->
-            let physical = Repair.apply w.pla assignment ~rows in
-            (* Re-verify the full function through the defects. *)
-            let ok = ref true in
-            for m = 0 to (1 lsl n_in) - 1 do
-              let v = minterm n_in m in
-              let got = defective_outputs ~and_defects ~or_defects physical v in
-              let want = Logic.Cover.eval w.cover v in
-              Array.iteri (fun o g -> if g <> Util.Bitvec.get want o then ok := false) got
-            done;
-            if not !ok then `Failed
-            else begin
-              (* Push the repaired AND plane through the physical
-                 programming network when the array is small enough to
-                 simulate, and check the stored charge pattern. *)
-              let ap = Pla.and_plane physical in
-              if !reprograms < 5 && Plane.rows ap * Plane.cols ap <= 64 then begin
-                incr reprograms;
-                let hw = Program_hw.build ~rows:(Plane.rows ap) ~cols:(Plane.cols ap) () in
-                Program_hw.program_plane hw ap;
-                if Program_hw.verify hw ap then `Repaired else `Failed
-              end
-              else `Repaired
-            end
-        in
-        match healed with
-        | `Repaired -> xpoint_t.repaired <- xpoint_t.repaired + injected
-        | `Unrepairable -> xpoint_t.unrepairable <- xpoint_t.unrepairable + injected
-        | `Failed -> ()
-      end
-    end
+    let s = now_s () in
+    match (recover ~spare_rows ~tests:w.tests ~and_defects ~or_defects w.pla).rv_status with
+    | `Clean -> ()
+    | `Undetected ->
+      (* All faults masked on the test set: nothing observable to heal. *)
+      xpoint_t.undetected <- xpoint_t.undetected + injected
+    | (`Repaired _ | `Unrepairable | `Reverify_failed) as status ->
+      xpoint_t.detected <- xpoint_t.detected + injected;
+      (match status with
+      | `Repaired assignment ->
+        if reprogram_ok w assignment then xpoint_t.repaired <- xpoint_t.repaired + injected
+      | `Unrepairable -> xpoint_t.unrepairable <- xpoint_t.unrepairable + injected
+      | `Reverify_failed -> ());
+      Histogram.observe recovery (now_s () -. s)
   in
-
   (* Scenario 3 — PG charge drift on a live programmed array: disturb
      storage nodes, detect decode flips by readback, rewrite, verify.
      The array persists across rounds, so masked drift can accumulate
@@ -400,36 +396,29 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
       end
   in
 
-  let rounds = ref 0 in
+  let rounds = max 0 max_rounds in
   Obs.Span.with_ ~args:[ ("seed", string_of_int seed) ] "chaos.run" (fun () ->
-      while !rounds < max_rounds && now_s () -. t0 < budget_s do
-        let w = ws.(!rounds mod Array.length ws) in
+      for round = 0 to rounds - 1 do
+        let w = ws.(round mod Array.length ws) in
         Obs.Span.with_
-          ~args:[ ("round", string_of_int !rounds); ("workload", w.w_name) ]
+          ~args:[ ("round", string_of_int round); ("workload", w.w_name) ]
           "chaos.round"
           (fun () ->
             batch_round w;
             crosspoint_round w;
             pg_round ();
-            xbar_round ());
-        incr rounds
+            xbar_round ())
       done);
-  let counter name = Option.value ~default:0 (List.assoc_opt name (Metrics.counters metrics)) in
-  let retries = counter "supervisor.retries" in
-  let deadline_expiries = counter "supervisor.deadline_expiries" in
-  let serial_fallbacks = counter "supervisor.serial_fallbacks" in
-  let fallback_evals = counter "supervisor.fallback_evals" in
-  let breaker_opens = counter "supervisor.breaker_opens" in
+  let fallback_evals = Atomic.get fallback_evals in
   let total_ops = Atomic.get evals + !tasks in
-  let degraded = retries + deadline_expiries + serial_fallbacks + fallback_evals in
+  let degraded = !retries + fallback_evals in
   let recoveries = Histogram.count recovery in
   let recovery_ps = Histogram.percentiles recovery [ 50.; 90.; 99.; 100. ] in
   let recovery_p p = if recoveries = 0 then 0. else List.assoc p recovery_ps in
   {
     seed;
-    budget_s;
     wall_s = now_s () -. t0;
-    rounds = !rounds;
+    rounds;
     jobs = Pool.jobs pool;
     spare_rows;
     injected_by_category = Inject.counts engine;
@@ -437,12 +426,9 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
     scenarios = [ freeze batch_t; freeze xpoint_t; freeze pg_t; freeze xbar_t ];
     miscompares = Atomic.get miscompares;
     worker_crashes = Pool.crashes pool;
-    retries;
-    deadline_expiries;
-    serial_fallbacks;
+    retries = !retries;
     cache_corruptions = Cache.corruptions cache;
     fallback_evals;
-    breaker_opens;
     degradation = float_of_int degraded /. float_of_int (max 1 total_ops);
     recoveries;
     recovery_p50_s = recovery_p 50.;
@@ -453,49 +439,57 @@ let run ?(seed = 42) ?(budget_s = 10.) ?(max_rounds = 50) ?(spare_rows = 2) ?job
 
 (* --- rendering ----------------------------------------------------------- *)
 
+let int n = Assess.Json.Number (float_of_int n)
+
+let scenario_json sc =
+  Assess.Json.Obj
+    [
+      ("name", Assess.Json.String sc.sc_name);
+      ("rounds", int sc.sc_rounds);
+      ("injected", int sc.sc_injected);
+      ("detected", int sc.sc_detected);
+      ("repaired", int sc.sc_repaired);
+      ("unrepairable", int sc.sc_unrepairable);
+      ("undetected", int sc.sc_undetected);
+    ]
+
+let deterministic_json r =
+  Assess.Json.Obj
+    [
+      ("seed", int r.seed);
+      ("rounds", int r.rounds);
+      ("spare_rows", int r.spare_rows);
+      ("injected_total", int r.injected_total);
+      ( "injected_by_category",
+        Assess.Json.Obj (List.map (fun (k, v) -> (k, int v)) r.injected_by_category) );
+      ("scenarios", Assess.Json.List (List.map scenario_json r.scenarios));
+      ("detected_unrepaired", int (detected_unrepaired r));
+      ("miscompares", int r.miscompares);
+      ("worker_crashes", int r.worker_crashes);
+      ("retries", int r.retries);
+      ("cache_corruptions", int r.cache_corruptions);
+      ("fallback_evals", int r.fallback_evals);
+      ("degradation", Assess.Json.Number r.degradation);
+    ]
+
 let to_json r =
-  let b = Buffer.create 1024 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"seed\": %d,\n" r.seed;
-  pf "  \"budget_s\": %g,\n" r.budget_s;
-  pf "  \"wall_s\": %.3f,\n" r.wall_s;
-  pf "  \"rounds\": %d,\n" r.rounds;
-  pf "  \"jobs\": %d,\n" r.jobs;
-  pf "  \"spare_rows\": %d,\n" r.spare_rows;
-  pf "  \"injected_total\": %d,\n" r.injected_total;
-  pf "  \"injected_by_category\": {";
-  List.iteri
-    (fun i (k, v) ->
-      pf "%s\"%s\": %d" (if i = 0 then " " else ", ") (Assess.Json.escape_string k) v)
-    r.injected_by_category;
-  pf " },\n";
-  pf "  \"scenarios\": [\n";
-  List.iteri
-    (fun i sc ->
-      pf
-        "    { \"name\": \"%s\", \"rounds\": %d, \"injected\": %d, \"detected\": %d, \
-         \"repaired\": %d, \"unrepairable\": %d, \"undetected\": %d }%s\n"
-        (Assess.Json.escape_string sc.sc_name) sc.sc_rounds sc.sc_injected sc.sc_detected
-        sc.sc_repaired sc.sc_unrepairable sc.sc_undetected
-        (if i = List.length r.scenarios - 1 then "" else ","))
-    r.scenarios;
-  pf "  ],\n";
-  pf "  \"detected_unrepaired\": %d,\n" (detected_unrepaired r);
-  pf "  \"miscompares\": %d,\n" r.miscompares;
-  pf "  \"worker_crashes\": %d,\n" r.worker_crashes;
-  pf "  \"retries\": %d,\n" r.retries;
-  pf "  \"deadline_expiries\": %d,\n" r.deadline_expiries;
-  pf "  \"serial_fallbacks\": %d,\n" r.serial_fallbacks;
-  pf "  \"cache_corruptions\": %d,\n" r.cache_corruptions;
-  pf "  \"fallback_evals\": %d,\n" r.fallback_evals;
-  pf "  \"breaker_opens\": %d,\n" r.breaker_opens;
-  pf "  \"degradation\": %.6f,\n" r.degradation;
-  pf "  \"recoveries\": %d,\n" r.recoveries;
-  pf "  \"recovery_latency_s\": { \"p50\": %.6f, \"p90\": %.6f, \"p99\": %.6f, \"max\": %.6f }\n"
-    r.recovery_p50_s r.recovery_p90_s r.recovery_p99_s r.recovery_max_s;
-  pf "}\n";
-  Buffer.contents b
+  let det = match deterministic_json r with Assess.Json.Obj kvs -> kvs | _ -> assert false in
+  let num x = Assess.Json.Number x in
+  Assess.Json.Obj
+    (det
+    @ [
+        ("jobs", int r.jobs);
+        ("wall_s", num r.wall_s);
+        ("recoveries", int r.recoveries);
+        ( "recovery_latency_s",
+          Assess.Json.Obj
+            [
+              ("p50", num r.recovery_p50_s);
+              ("p90", num r.recovery_p90_s);
+              ("p99", num r.recovery_p99_s);
+              ("max", num r.recovery_max_s);
+            ] );
+      ])
 
 let summary r =
   let b = Buffer.create 512 in
@@ -511,10 +505,9 @@ let summary r =
         sc.sc_name sc.sc_injected sc.sc_detected sc.sc_repaired sc.sc_unrepairable
         sc.sc_undetected)
     r.scenarios;
-  pf "  runtime: %d worker crashes, %d retries, %d deadline expiries, %d serial fallbacks\n"
-    r.worker_crashes r.retries r.deadline_expiries r.serial_fallbacks;
-  pf "  cache: %d corruptions detected, %d fallback evals, %d breaker opens\n"
-    r.cache_corruptions r.fallback_evals r.breaker_opens;
+  pf "  runtime: %d worker crashes, %d retries\n" r.worker_crashes r.retries;
+  pf "  cache: %d corruptions detected, %d fallback evals\n" r.cache_corruptions
+    r.fallback_evals;
   pf "  miscompares vs oracle: %d; degradation: %.2f%%\n" r.miscompares (100. *. r.degradation);
   if r.recoveries > 0 then
     pf "  recovery latency (s): p50 %.4f  p90 %.4f  p99 %.4f  max %.4f over %d recoveries\n"

@@ -4,17 +4,19 @@
     rounds, exercising every recovery mechanism the runtime owns:
 
     {ul
-    {- {b supervised batches}: input-space sweeps through
-       {!Supervisor.run_all} / {!Supervisor.eval} while pool tasks raise,
-       stall and crash their workers and compiled-cache entries rot —
-       results must stay bit-identical to the fault-free oracle (crashes
-       are respawned, failures retried, corrupt entries checksum-detected
-       and served via the uncompiled fallback);}
-    {- {b crosspoint faults}: programmed cells flip to stuck states,
-       {!Fault.Atpg} vectors expose the miscompares, {!Fault.Repair}
-       re-maps products onto spare rows, small arrays are physically
-       reprogrammed through {!Cnfet.Program_hw} and the result is
-       re-verified through the defects;}
+    {- {b batches}: input-space sweeps through the pool while tasks
+       raise, stall and crash their workers and compiled-cache entries
+       rot. Each evaluation goes through {!Cache.evaluator}, the failure
+       policy the serve daemon runs; a failed task is resubmitted up to a
+       fixed attempt count. Results must stay bit-identical to the
+       fault-free oracle (crashes are respawned, failures retried,
+       corrupt entries checksum-detected and recompiled or served
+       uncompiled);}
+    {- {b crosspoint faults}: programmed cells flip to stuck states and
+       {!recover} detects them with {!Fault.Atpg} vectors, re-maps
+       products onto spare rows ({!Fault.Repair}) and re-verifies
+       through the defects; small repaired arrays are then physically
+       reprogrammed through {!Cnfet.Program_hw};}
     {- {b PG charge drift}: storage nodes of a live programmed array
        drift ({!Cnfet.Program_hw.disturb}), readback catches the decode
        flips, the cells are rewritten and verified;}
@@ -22,9 +24,10 @@
        golden snapshot ({!Cnfet.Crossbar.copy}/[equal]); the scrubber
        restores and re-verifies routing.}}
 
-    Every recovery is timed; the report carries latency percentiles and
-    a [degradation] fraction (operations that had to leave the fast
-    path), the numbers the CI smoke gate checks. *)
+    A run is a fixed number of rounds and reads no clock except to time
+    recoveries, so {!deterministic_json} is a function of the seed, the
+    plan, the round count and the spare rows alone, at any [jobs]. The
+    full report adds the wall time and recovery-latency percentiles. *)
 
 type scenario = {
   sc_name : string;
@@ -38,7 +41,6 @@ type scenario = {
 
 type report = {
   seed : int;
-  budget_s : float;
   wall_s : float;
   rounds : int;
   jobs : int;
@@ -46,21 +48,30 @@ type report = {
   injected_by_category : (string * int) list;
   injected_total : int;
   scenarios : scenario list;
-  miscompares : int;  (** supervised-batch results differing from the oracle — must be 0 *)
+  miscompares : int;  (** batch results differing from the oracle — must be 0 *)
   worker_crashes : int;
-  retries : int;
-  deadline_expiries : int;
-  serial_fallbacks : int;
+  retries : int;  (** batch tasks resubmitted after a raise or worker crash *)
   cache_corruptions : int;
-  fallback_evals : int;
-  breaker_opens : int;
-  degradation : float;  (** degraded operations / total operations *)
+  fallback_evals : int;  (** batch evaluations served [Uncompiled] *)
+  degradation : float;
+      (** (retries + fallback evals) / (batch evaluations + batch tasks) *)
   recoveries : int;
   recovery_p50_s : float;
   recovery_p90_s : float;
   recovery_p99_s : float;
   recovery_max_s : float;
 }
+
+val max_attempts : int
+(** Attempts per batch task before {!run_all_retrying} gives up. *)
+
+val run_all_retrying : Pool.t -> retries:int ref -> (unit -> 'a) array -> 'a array
+(** {!Pool.run_all} with a bounded per-index retry, the task policy of
+    the batch scenario: every thunk is submitted at once, then each
+    failed index is resubmitted alone, in index order, until it succeeds
+    or has failed {!max_attempts} times, when its last exception is
+    re-raised. Each resubmission increments [retries]. Results are in
+    index order. *)
 
 val detected_unrepaired : report -> int
 (** Faults that were injected {e and} detected but neither repaired nor
@@ -99,21 +110,28 @@ val recover :
 
 val run :
   ?seed:int ->
-  ?budget_s:float ->
   ?max_rounds:int ->
   ?spare_rows:int ->
   ?jobs:int ->
   ?plan:Fault.Inject.plan ->
   unit ->
   report
-(** Run chaos rounds until the wall-clock budget (default 10 s) or
-    [max_rounds] (default 50) is exhausted. Deterministic in [seed]
-    (default 42) up to wall-clock-dependent round count and latency
-    readings: pin [max_rounds] under a generous budget for exact
-    reproducibility. Arms {!Fault.Inject} for the duration; raises
-    [Invalid_argument] if an engine is already armed. *)
+(** Run [max_rounds] (default 50) chaos rounds under [plan] (default
+    {!Fault.Inject.default}) seeded with [seed] (default 42). Arms
+    {!Fault.Inject} for the duration; raises [Invalid_argument] if an
+    engine is already armed. A batch task that fails on every one of
+    its attempts ends the run with the task's last exception. *)
 
-val to_json : report -> string
+val deterministic_json : report -> Assess.Json.t
+(** The reproducible view: seed, rounds, spare rows, injected faults
+    (total and by category), per-scenario tallies,
+    {!detected_unrepaired}, miscompares, worker crashes, retries, cache
+    corruptions, fallback evals and degradation. Byte-identical at any
+    [jobs] for the same seed, plan, rounds and spare rows. *)
+
+val to_json : report -> Assess.Json.t
+(** The full report: {!deterministic_json} plus jobs, wall seconds, the
+    recovery count and the recovery-latency percentiles. *)
 
 val summary : report -> string
 (** Human-readable multi-line rendering. *)

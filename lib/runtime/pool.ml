@@ -236,15 +236,6 @@ let await fut =
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let peek fut =
-  Mutex.lock fut.f_lock;
-  let st = fut.state in
-  Mutex.unlock fut.f_lock;
-  match st with
-  | Pending -> None
-  | Done v -> Some (Ok v)
-  | Failed (e, bt) -> Some (Error (e, bt))
-
 let run_all pool thunks =
   let futures = Array.map (fun f -> submit pool f) thunks in
   (* Drain every future before raising anything: one failing task must not
@@ -273,8 +264,8 @@ let () =
     | _ -> None)
 
 (* Single stop path shared by [drain] and [shutdown]. Safe under any
-   number of concurrent callers (serve's signal handler racing a
-   supervisor fallback, say): the first caller to get here owns the
+   number of concurrent callers (a signal handler's [shutdown]
+   racing a normal [drain], say): the first caller to get here owns the
    domain join; everyone else blocks on [idle] until the join completes,
    so every stopper returns to a fully-stopped pool. [discard_queued]
    fails queued-but-unstarted tasks with {!Shutdown} instead of running

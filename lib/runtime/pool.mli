@@ -44,10 +44,6 @@ val await_result : 'a future -> ('a, exn * Printexc.raw_backtrace) result
     a caller draining many futures can collect every outcome before
     deciding what to re-raise. *)
 
-val peek : 'a future -> ('a, exn * Printexc.raw_backtrace) result option
-(** Non-blocking: [None] while the task is still pending. The building
-    block for deadline-bounded awaiting ({!Supervisor}). *)
-
 val run_all : t -> (unit -> 'a) array -> 'a array
 (** Submit every thunk, then await them in submission order. Every
     future is drained — a failing task never abandons its queued

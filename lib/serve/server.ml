@@ -127,33 +127,6 @@ let stats t =
 exception Reject of Wire.error_code * string
 (* request-level failure; answered with [Error_response], session lives *)
 
-(* How this request's program gets evaluated: through the bit-sliced
-   compiled entry, or — only if the tenant cache rots repeatedly —
-   uncompiled straight off the mapped PLA. *)
-type engine = Compiled of Cache.compiled | Uncompiled of Cnfet.Pla.t
-
-(* Compiled evaluator plus whether the tenant cache already had it —
-   reported by the cache for this lookup alone, since diffing its
-   shared hit counter would race with concurrent requests on the same
-   tenant. A rotten cache entry ([Corrupt_entry] self-evicts) gets one
-   recompile; if the cover key rots twice in a row, the mapped PLA is
-   compiled under its plane-content key (a distinct entry, same
-   per-call hit reporting via [compile_of_pla_hit]) before giving up
-   and serving this request uncompiled. *)
-let evaluator t tcache cover =
-  match Cache.compile_hit tcache cover with
-  | compiled, hit -> (Compiled compiled, hit)
-  | exception Cache.Corrupt_entry _ -> (
-    match Cache.compile_hit tcache cover with
-    | compiled, hit -> (Compiled compiled, hit)
-    | exception Cache.Corrupt_entry _ -> (
-      let pla = Cnfet.Pla.of_cover cover in
-      match Cache.compile_of_pla_hit tcache pla with
-      | compiled, hit -> (Compiled compiled, hit)
-      | exception Cache.Corrupt_entry _ ->
-        Metrics.incr t.c.fallback_evals;
-        (Uncompiled pla, false)))
-
 (* The classifier registry: model name -> lowered crossbar. Lowering
    (minterm enumeration + espresso) is paid once per process on first
    classify request, then every request compiles the mapped cover
@@ -191,7 +164,7 @@ type reply =
 let eval_engine t engine batch =
   let n = Wire.matrix_rows batch in
   match engine with
-  | Compiled compiled ->
+  | Cache.Compiled compiled ->
     let lanes_max = Cache.lanes_per_word in
     let n_blocks = (n + lanes_max - 1) / lanes_max in
     let eval_block b =
@@ -205,7 +178,7 @@ let eval_engine t engine batch =
       else Array.init n_blocks eval_block
     in
     Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled)) blocks
-  | Uncompiled pla ->
+  | Cache.Uncompiled pla ->
     let eval_row i = Cnfet.Pla.eval pla (Wire.matrix_row batch i) in
     let rows =
       if n >= parallel_threshold then
@@ -241,14 +214,20 @@ let admitted t ~batch f =
       Metrics.incr t.c.request_crashes;
       One (Wire.Error_response { code = Wire.Internal; message = Printexc.to_string e }))
 
-(* Compile [cover] through the tenant's cache and evaluate the batch
-   through the bit-sliced path, timing the whole thing. *)
+(* Compile [cover] through the tenant's cache and its failure policy
+   ([Cache.evaluator]) and evaluate the batch, timing the whole thing.
+   The hit flag is the cache's answer for this lookup alone: diffing its
+   shared hit counter would race with concurrent requests on the same
+   tenant. *)
 let compile_and_eval t ~tenant ~batch ~n cover =
   let t0 = Obs.Clock.monotonic () in
   let engine, cache_hit =
     Obs.Span.with_ ~args:[ ("tenant", tenant) ] "serve.compile" (fun () ->
-        evaluator t (Tenants.cache t.tenants tenant) cover)
+        Cache.evaluator (Tenants.cache t.tenants tenant) cover)
   in
+  (match engine with
+  | Cache.Uncompiled _ -> Metrics.incr t.c.fallback_evals
+  | Cache.Compiled _ -> ());
   let outputs =
     Obs.Span.with_ ~args:[ ("vectors", string_of_int n) ] "serve.eval" (fun () ->
         eval_engine t engine batch)

@@ -1,13 +1,14 @@
 (* Tests for the chaos/robustness stack: deterministic fault injection,
-   supervised retry with backoff and deadlines, the cache circuit
-   breaker, worker-crash isolation and the end-to-end self-healing
-   report. Everything time-dependent runs against [Obs.Clock.fixed_step]
-   and an injected no-op sleep, so no test waits on a real clock. *)
+   the cache's failure policy under injected rot, worker-crash isolation,
+   bounded task retry, and the end-to-end self-healing report, whose
+   deterministic view is pinned byte for byte at one and two jobs.
+
+   Set DUMP_CHAOS=<path> to rewrite the golden JSON after an intentional
+   change to the fault plan, the scenarios or the report. *)
 
 module Inject = Fault.Inject
 module Pool = Runtime.Pool
 module Cache = Runtime.Cache
-module Supervisor = Runtime.Supervisor
 module Metrics = Runtime.Metrics
 module Chaos = Runtime.Chaos
 
@@ -63,197 +64,22 @@ let test_inject_crosspoint_and_drift () =
   checkb "good when disarmed" true (Inject.crosspoint_fault ~index:0 = Fault.Defect.Good);
   checkb "no drift when disarmed" true (Inject.pg_drift ~index:0 = 0.)
 
-(* --- backoff --------------------------------------------------------------- *)
-
-let test_backoff_schedule () =
-  let p = { Supervisor.Backoff.base_s = 0.01; cap_s = 0.2 } in
-  let sched rng_seed = Supervisor.Backoff.schedule p (Util.Rng.create rng_seed) ~attempts:12 in
-  let s1 = sched 5 in
-  checki "requested length" 12 (List.length s1);
-  List.iter
-    (fun d -> checkb "delay within [base, cap]" true (d >= p.Supervisor.Backoff.base_s && d <= p.Supervisor.Backoff.cap_s))
-    s1;
-  checkb "deterministic in seed" true (s1 = sched 5);
-  checkb "jitter varies with seed" true (s1 <> sched 6);
-  (* The envelope grows: the max over the schedule reaches the cap
-     region, the first delay starts near the base. *)
-  checkb "first delay is small" true (List.hd s1 <= 3. *. p.Supervisor.Backoff.base_s);
-  checkb "envelope reaches cap" true (List.exists (fun d -> d > 0.1) s1)
-
-(* --- supervisor: deadline and retry ---------------------------------------- *)
-
-let fast_clock () = Obs.Clock.fixed_step ~step_ns:1_000_000L () (* 1 ms per reading *)
-
-let test_deadline_expiry () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let release = Atomic.make false in
-      let sup =
-        Supervisor.create ~clock:(fast_clock ())
-          ~sleep:(fun _ -> ())
-          ~config:{ Supervisor.default_config with max_attempts = 1; deadline_s = Some 0.01 }
-          pool
-      in
-      (match Supervisor.run ~label:"stuck" sup (fun () -> while not (Atomic.get release) do Domain.cpu_relax () done) with
-      | () -> Alcotest.fail "expected Deadline_exceeded"
-      | exception Supervisor.Deadline_exceeded { label; attempt; _ } ->
-        Alcotest.check Alcotest.string "label" "stuck" label;
-        checki "first attempt" 1 attempt);
-      Atomic.set release true)
-
-let test_retry_then_success () =
-  let metrics = Metrics.create () in
-  Pool.with_pool ~metrics ~jobs:1 (fun pool ->
-      let sup =
-        Supervisor.create ~metrics
-          ~sleep:(fun _ -> ())
-          ~config:{ Supervisor.default_config with max_attempts = 3 }
-          pool
-      in
-      let tries = Atomic.make 0 in
-      let v =
-        Supervisor.run sup (fun () ->
-            if Atomic.fetch_and_add tries 1 < 2 then failwith "flaky";
-            42)
-      in
-      checki "third attempt succeeded" 42 v;
-      checki "two retries counted" 2 (counter metrics "supervisor.retries"))
-
-let test_retries_exhausted () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let sup =
-        Supervisor.create
-          ~sleep:(fun _ -> ())
-          ~config:{ Supervisor.default_config with max_attempts = 2 }
-          pool
-      in
-      match Supervisor.run ~label:"doomed" sup (fun () -> failwith "always") with
-      | _ -> Alcotest.fail "expected Retries_exhausted"
-      | exception Supervisor.Retries_exhausted { label; attempts; last } ->
-        Alcotest.check Alcotest.string "label" "doomed" label;
-        checki "attempts" 2 attempts;
-        checkb "last exception kept" true (last = Failure "always"))
-
-let test_supervised_run_all_retries_per_index () =
-  let metrics = Metrics.create () in
-  Pool.with_pool ~metrics ~jobs:2 (fun pool ->
-      let sup =
-        Supervisor.create ~metrics
-          ~sleep:(fun _ -> ())
-          ~config:{ Supervisor.default_config with max_attempts = 2 }
-          pool
-      in
-      let failed_once = Atomic.make false in
-      let thunks =
-        Array.init 6 (fun i () ->
-            if i = 3 && not (Atomic.exchange failed_once true) then failwith "transient";
-            i * i)
-      in
-      let r = Supervisor.run_all sup thunks in
-      checkb "all results present" true (r = Array.init 6 (fun i -> i * i));
-      checki "exactly one retry" 1 (counter metrics "supervisor.retries"))
-
-(* --- circuit breaker -------------------------------------------------------- *)
-
-let breaker_cover = Mcnc.Generators.majority 3
-
-let corrupt_next_serve cache =
-  (* Plant rot: compile (or re-compile) the entry, then flip its contents
-     under the recorded checksum so the next serve must detect it. The
-     first compile may itself trip over rot left by a previous plant (it
-     evicts and raises); the recompile is then clean. *)
-  let compiled =
-    try Cache.compile cache breaker_cover
-    with Cache.Corrupt_entry _ -> Cache.compile cache breaker_cover
-  in
-  Cache.corrupt_for_test compiled
-
-let test_breaker_opens_and_recovers () =
-  let metrics = Metrics.create () in
-  Pool.with_pool ~metrics ~jobs:1 (fun pool ->
-      let golden = Cnfet.Pla.eval (Cnfet.Pla.of_cover breaker_cover) in
-      let inputs = [| true; false; true |] in
-      let sup =
-        Supervisor.create ~metrics ~clock:(fast_clock ())
-          ~sleep:(fun _ -> ())
-          ~config:
-            {
-              Supervisor.default_config with
-              breaker_threshold = 3;
-              breaker_cooldown_s = 0.05 (* 50 clock readings at 1 ms *);
-            }
-          pool
-      in
-      let cache = Cache.create () in
-      checkb "starts closed" true (Supervisor.breaker_state sup = Supervisor.Closed);
-      for _ = 1 to 3 do
-        corrupt_next_serve cache;
-        let out = Supervisor.eval sup cache breaker_cover inputs in
-        checkb "fallback result correct" true (out = golden inputs)
-      done;
-      checkb "opened after threshold strikes" true (Supervisor.breaker_state sup = Supervisor.Open);
-      checki "one open recorded" 1 (counter metrics "supervisor.breaker_opens");
-      (* While open every eval bypasses the cache, corrupt or not. *)
-      let before = Cache.hits cache + Cache.misses cache in
-      checkb "open-state eval correct" true (Supervisor.eval sup cache breaker_cover inputs = golden inputs);
-      checki "cache untouched while open" before (Cache.hits cache + Cache.misses cache);
-      (* Let the cooldown pass: each eval reads the clock at least once,
-         so spin until the half-open probe fires and succeeds. *)
-      let rec drain n =
-        if n = 0 then Alcotest.fail "breaker never closed"
-        else begin
-          ignore (Supervisor.eval sup cache breaker_cover inputs);
-          if Supervisor.breaker_state sup <> Supervisor.Closed then drain (n - 1)
-        end
-      in
-      drain 200;
-      checkb "clean probe closed the breaker" true
-        (Supervisor.breaker_state sup = Supervisor.Closed);
-      checki "close recorded" 1 (counter metrics "supervisor.breaker_closes"))
-
-let test_breaker_halfopen_failure_reopens () =
-  let metrics = Metrics.create () in
-  Pool.with_pool ~metrics ~jobs:1 (fun pool ->
-      let inputs = [| false; true; true |] in
-      let sup =
-        Supervisor.create ~metrics ~clock:(fast_clock ())
-          ~sleep:(fun _ -> ())
-          ~config:
-            { Supervisor.default_config with breaker_threshold = 1; breaker_cooldown_s = 0.002 }
-          pool
-      in
-      let cache = Cache.create () in
-      corrupt_next_serve cache;
-      ignore (Supervisor.eval sup cache breaker_cover inputs);
-      checkb "opened on first strike" true (Supervisor.breaker_state sup = Supervisor.Open);
-      (* Cooldown passes almost immediately; make the half-open probe hit
-         rot again: it must re-open, not close. *)
-      let reopened = ref false in
-      for _ = 1 to 10 do
-        if not !reopened then begin
-          corrupt_next_serve cache;
-          ignore (Supervisor.eval sup cache breaker_cover inputs);
-          if counter metrics "supervisor.breaker_opens" >= 2 then reopened := true
-        end
-      done;
-      checkb "failed probe re-opened" true !reopened;
-      checki "never closed" 0 (counter metrics "supervisor.breaker_closes"))
-
 (* --- cache corruption under injection -------------------------------------- *)
 
 let test_injected_store_corruption_detected () =
   Inject.with_armed ~seed:11 { Inject.nothing with Inject.cache_corrupt = 1.0 } (fun t ->
-      let metrics = Metrics.create () in
-      Pool.with_pool ~metrics ~jobs:1 (fun pool ->
-          let sup = Supervisor.create ~metrics pool in
-          let cache = Cache.create () in
-          let golden = Cnfet.Pla.eval (Cnfet.Pla.of_cover breaker_cover) in
-          let inputs = [| true; true; false |] in
-          checkb "served correctly via fallback" true
-            (Supervisor.eval sup cache breaker_cover inputs = golden inputs);
-          checkb "corruption detected at store" true (Cache.corruptions cache >= 1);
-          checkb "fault counted by engine" true
-            (List.assoc "cache_corrupt" (Inject.counts t) >= 1);
-          checkb "fallback eval counted" true (counter metrics "supervisor.fallback_evals" >= 1)))
+      let cover = Mcnc.Generators.majority 3 in
+      let cache = Cache.create () in
+      let golden = Cnfet.Pla.eval (Cnfet.Pla.of_cover cover) in
+      let inputs = [| true; true; false |] in
+      let out =
+        match Cache.evaluator cache cover with
+        | Cache.Compiled _, _ -> Alcotest.fail "every store rots: nothing may be served compiled"
+        | Cache.Uncompiled pla, _ -> Cnfet.Pla.eval pla inputs
+      in
+      checkb "served correctly uncompiled" true (out = golden inputs);
+      checkb "corruption detected at store" true (Cache.corruptions cache >= 1);
+      checkb "fault counted by engine" true (List.assoc "cache_corrupt" (Inject.counts t) >= 1))
 
 (* --- worker crash isolation ------------------------------------------------- *)
 
@@ -289,13 +115,32 @@ let test_run_all_drains_after_crash () =
 
 (* --- end-to-end chaos report ------------------------------------------------ *)
 
+(* The golden run: the default plan at seed 7 for four rounds, short
+   enough for the suite yet drawing a task stall, a worker crash (and
+   its retry) and cache rot down to uncompiled evaluation next to the
+   device faults. *)
+let quick jobs = Chaos.run ~seed:7 ~max_rounds:4 ~jobs ()
+
+let quick_j1 = lazy (quick 1)
+let quick_j2 = lazy (quick 2)
+
+let golden_path name =
+  if Sys.file_exists (Filename.concat "golden" name) then Filename.concat "golden" name
+  else Filename.concat "test/golden" name
+
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
 let test_chaos_report_heals () =
-  let r = Chaos.run ~seed:42 ~budget_s:30. ~max_rounds:2 ~jobs:2 () in
-  checki "requested rounds ran" 2 r.Chaos.rounds;
+  let r = Lazy.force quick_j2 in
+  checki "requested rounds ran" 4 r.Chaos.rounds;
   checki "no miscompares against the oracle" 0 r.Chaos.miscompares;
   checki "every detected fault handled" 0 (Chaos.detected_unrepaired r);
   checkb "faults were actually injected" true (r.Chaos.injected_total > 0);
-  let json = Chaos.to_json r in
+  let json = Assess.Json.to_string (Chaos.to_json r) in
   let contains needle =
     let n = String.length needle and l = String.length json in
     let rec go i = i + n <= l && (String.sub json i n = needle || go (i + 1)) in
@@ -305,12 +150,85 @@ let test_chaos_report_heals () =
     (fun needle -> checkb (Printf.sprintf "report has %s" needle) true (contains needle))
     [ "\"degradation\""; "\"detected_unrepaired\""; "\"recovery_latency_s\""; "\"scenarios\"" ]
 
+(* Everything but the measured fields is a function of (seed, plan,
+   rounds, spare rows): the same bytes at one job and at two, and the
+   bytes pinned in golden/chaos_quick.json. *)
 let test_chaos_deterministic_injection () =
-  let r1 = Chaos.run ~seed:9 ~budget_s:30. ~max_rounds:1 ~jobs:2 () in
-  let r2 = Chaos.run ~seed:9 ~budget_s:30. ~max_rounds:1 ~jobs:2 () in
-  checkb "same seed, same injected set" true
-    (r1.Chaos.injected_by_category = r2.Chaos.injected_by_category);
-  checkb "same seed, same scenario tallies" true (r1.Chaos.scenarios = r2.Chaos.scenarios)
+  let det r = Assess.Json.to_string ~indent:2 (Chaos.deterministic_json r) ^ "\n" in
+  let j1 = det (Lazy.force quick_j1) and j2 = det (Lazy.force quick_j2) in
+  (match Sys.getenv_opt "DUMP_CHAOS" with
+  | Some path ->
+    let oc = open_out_bin path in
+    output_string oc j1;
+    close_out oc
+  | None -> ());
+  checkb "jobs 1 and jobs 2 give the same deterministic view" true (j1 = j2);
+  let golden = read_file (golden_path "chaos_quick.json") in
+  if j1 <> golden then
+    Alcotest.failf
+      "quick chaos run drifted from golden/chaos_quick.json (%d vs %d bytes). If the change is \
+       intentional, regenerate with: DUMP_CHAOS=$PWD/test/golden/chaos_quick.json dune exec \
+       test/test_chaos.exe -- test self-healing"
+      (String.length j1) (String.length golden)
+
+(* --- bounded task retry ------------------------------------------------ *)
+
+(* The retry loop that supervises batch tasks: a flaky thunk is
+   resubmitted until it succeeds, each resubmission counted. *)
+let test_retry_then_success () =
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let retries = ref 0 in
+      let tries = Atomic.make 0 in
+      let v =
+        Chaos.run_all_retrying pool ~retries
+          [|
+            (fun () ->
+              if Atomic.fetch_and_add tries 1 < 2 then failwith "flaky";
+              42);
+          |]
+      in
+      checki "third attempt succeeded" 42 v.(0);
+      checki "two retries counted" 2 !retries)
+
+(* Each index is retried on its own: index [i] fails [i] times, the
+   results come back in index order and the retries add up. *)
+let test_run_all_retries_per_index () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let n = Chaos.max_attempts in
+      let tries = Array.init n (fun _ -> Atomic.make 0) in
+      let thunks =
+        Array.init n (fun i () ->
+            if Atomic.fetch_and_add tries.(i) 1 < i then failwith "flaky";
+            i * 10)
+      in
+      let retries = ref 0 in
+      let out = Chaos.run_all_retrying pool ~retries thunks in
+      Alcotest.check Alcotest.(array int) "per-index results in order"
+        (Array.init n (fun i -> i * 10))
+        out;
+      checki "one retry per failure" (n * (n - 1) / 2) !retries;
+      Array.iteri
+        (fun i t -> checki (Printf.sprintf "index %d attempts" i) (i + 1) (Atomic.get t))
+        tries)
+
+(* Raised task faults: failed batch tasks are resubmitted, and the
+   results still match the oracle. *)
+let test_chaos_retries_task_faults () =
+  let plan = { Inject.nothing with Inject.task_raise = 0.3; worker_crash = 0.1 } in
+  let r = Chaos.run ~seed:7 ~max_rounds:2 ~jobs:2 ~plan () in
+  checkb "tasks were retried" true (r.Chaos.retries > 0);
+  checkb "workers crashed and were replaced" true (r.Chaos.worker_crashes > 0);
+  checki "no miscompares against the oracle" 0 r.Chaos.miscompares
+
+(* A task that fails on every attempt ends the run with its own fault
+   instead of retrying forever. *)
+let test_chaos_retries_exhausted () =
+  let plan = { Inject.nothing with Inject.task_raise = 1.0 } in
+  (match Chaos.run ~seed:7 ~max_rounds:1 ~jobs:2 ~plan () with
+  | _ -> Alcotest.fail "expected the injected fault to surface"
+  | exception Inject.Injected_fault { site; _ } ->
+    Alcotest.check Alcotest.string "the task's own fault" "task_raise" site);
+  checkb "disarmed after the failed run" false (Inject.armed ())
 
 let () =
   Alcotest.run "chaos"
@@ -322,21 +240,8 @@ let () =
           Alcotest.test_case "single engine" `Quick test_inject_single_engine;
           Alcotest.test_case "crosspoint and drift draws" `Quick test_inject_crosspoint_and_drift;
         ] );
-      ( "backoff",
-        [ Alcotest.test_case "decorrelated jitter schedule" `Quick test_backoff_schedule ] );
-      ( "supervisor",
+      ( "cache policy",
         [
-          Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
-          Alcotest.test_case "retry then success" `Quick test_retry_then_success;
-          Alcotest.test_case "retries exhausted" `Quick test_retries_exhausted;
-          Alcotest.test_case "run_all retries per index" `Quick
-            test_supervised_run_all_retries_per_index;
-        ] );
-      ( "breaker",
-        [
-          Alcotest.test_case "open then recover" `Quick test_breaker_opens_and_recovers;
-          Alcotest.test_case "half-open failure re-opens" `Quick
-            test_breaker_halfopen_failure_reopens;
           Alcotest.test_case "injected store corruption" `Quick
             test_injected_store_corruption_detected;
         ] );
@@ -346,9 +251,16 @@ let () =
           Alcotest.test_case "run_all drains after failures" `Quick
             test_run_all_drains_after_crash;
         ] );
+      ( "supervisor",
+        [
+          Alcotest.test_case "retry then success" `Quick test_retry_then_success;
+          Alcotest.test_case "run_all retries per index" `Quick test_run_all_retries_per_index;
+        ] );
       ( "self-healing",
         [
           Alcotest.test_case "chaos report heals" `Quick test_chaos_report_heals;
           Alcotest.test_case "deterministic injection" `Quick test_chaos_deterministic_injection;
+          Alcotest.test_case "retries task faults" `Quick test_chaos_retries_task_faults;
+          Alcotest.test_case "retries exhausted" `Quick test_chaos_retries_exhausted;
         ] );
     ]

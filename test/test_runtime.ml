@@ -187,6 +187,50 @@ let test_compile_of_pla_hit_status () =
   let _, hit3 = Cache.compile_of_pla_hit cache (Pla.of_cover dec2) in
   checkb "different plane content misses" false hit3
 
+(* --- the failure policy (Cache.evaluator) ---------------------------------- *)
+
+let check_engine_outputs msg engine cover =
+  let pla = Pla.of_cover cover in
+  let n = Cover.num_inputs cover in
+  for m = 0 to (1 lsl n) - 1 do
+    let v = Batch.minterm n m in
+    let out =
+      match engine with
+      | Cache.Compiled compiled -> Cache.eval compiled v
+      | Cache.Uncompiled p -> Pla.eval p v
+    in
+    checkb msg true (out = Pla.eval pla v)
+  done
+
+let test_evaluator_recompiles_rot () =
+  let cache = Cache.create () in
+  Cache.corrupt_for_test (Cache.compile cache cmp2);
+  let engine, hit = Cache.evaluator cache cmp2 in
+  (match engine with
+  | Cache.Compiled _ -> ()
+  | Cache.Uncompiled _ -> Alcotest.fail "a rotted entry must be recompiled, not bypassed");
+  checkb "the recompile is a miss" false hit;
+  checki "the rot was counted once" 1 (Cache.corruptions cache);
+  check_engine_outputs "recompiled engine = Pla.eval" engine cmp2;
+  let _, hit' = Cache.evaluator cache cmp2 in
+  checkb "the recompiled entry now hits" true hit'
+
+let test_evaluator_uncompiled_under_store_rot () =
+  Fault.Inject.with_armed ~seed:11 { Fault.Inject.nothing with Fault.Inject.cache_corrupt = 1.0 }
+    (fun t ->
+      let cache = Cache.create () in
+      let engine, hit = Cache.evaluator cache cmp2 in
+      (match engine with
+      | Cache.Uncompiled _ -> ()
+      | Cache.Compiled _ -> Alcotest.fail "every store rots: expected Uncompiled");
+      checkb "no hit reported" false hit;
+      (* cover key, its one recompile, then the plane-content key *)
+      checki "three corruptions" 3 (Cache.corruptions cache);
+      checki "three injected store faults" 3
+        (List.assoc "cache_corrupt" (Fault.Inject.counts t));
+      checki "nothing left cached" 0 (Cache.size cache);
+      check_engine_outputs "uncompiled engine = Pla.eval" engine cmp2)
+
 (* --- Bit-sliced (transposed) evaluation ------------------------------------ *)
 
 let random_vectors rng ~n ~width =
@@ -621,6 +665,10 @@ let () =
           Alcotest.test_case "LRU touch reorders recency" `Quick
             test_cache_lru_touch_reorders;
           Alcotest.test_case "of-planes hit status" `Quick test_compile_of_pla_hit_status;
+          Alcotest.test_case "evaluator recompiles a rotted entry" `Quick
+            test_evaluator_recompiles_rot;
+          Alcotest.test_case "evaluator uncompiled under store rot" `Quick
+            test_evaluator_uncompiled_under_store_rot;
         ] );
       ( "bit-sliced eval",
         [
