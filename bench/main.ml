@@ -10,7 +10,7 @@
              table1_delay variation table2 wires phase wpla yield
              yield_columns waveform cascade factored mapping fsm exact_gap
              ablation_crossover ablation_shrink ablation_tracks
-             ablation_sharing parallel espresso micro
+             ablation_sharing parallel espresso sweep serve_crossover micro
 
    The --quick flag shortens the espresso section's measurement windows
    (the CI smoke mode: dune exec bench/main.exe -- --quick espresso).
@@ -1046,6 +1046,90 @@ let run_parallel () =
      worker-domain count on multicore hosts (a single-core container\n\
      reports ~1x). Set CNFET_BENCH_JOBS to override the domain count."
 
+(* --- serve: inline vs pool evaluation ------------------------------------------------------------- *)
+
+(* The daemon evaluates a request inline when its work (blocks × non-Drop
+   crosspoints) is under Server.pool_crossover, else one pool item per
+   block. This section times both routes on every generator program at
+   a serve-hot (256) and a serve-bulk (16384) batch. The crossover is
+   the work at which evaluating inline costs as much as the pool's
+   hand-off: past it, even a pool of many domains could win back its
+   overhead. The inline cost is a least-squares line over the 256-vector
+   points, the range the decision is made in; at 16384 vectors gather
+   and scatter, which the work estimate does not count, dominate. *)
+let run_serve_crossover () =
+  section "serve_crossover" "Inline vs pool evaluation of one serve request (Server.pool_crossover)";
+  let module Server = Serve.Server in
+  let server = Server.create { Server.default_config with jobs = Some 1 } in
+  let cache = Runtime.Cache.create () in
+  let rng = Util.Rng.create 2008 in
+  (* median over 7 rounds of the mean per-call time, each round ~20 ms *)
+  let time_us f =
+    let clock () = Int64.to_float (Obs.Clock.monotonic ()) /. 1e3 in
+    let t0 = clock () in
+    ignore (f ());
+    let calls = max 1 (truncate (20_000. /. Float.max 1. (clock () -. t0))) in
+    let rounds =
+      Array.init 7 (fun _ ->
+          let t0 = clock () in
+          for _ = 1 to calls do
+            ignore (f ())
+          done;
+          (clock () -. t0) /. float calls)
+    in
+    Array.sort compare rounds;
+    rounds.(3)
+  in
+  let t =
+    Util.Tableau.create
+      [ "program"; "crosspoints"; "vectors"; "work"; "inline (us)"; "pool (us)"; "route" ]
+  in
+  let small = ref [] in
+  List.iter
+    (fun (name, cover) ->
+      let compiled = Runtime.Cache.compile cache cover in
+      let engine = Runtime.Cache.Compiled compiled in
+      let n_in = Logic.Cover.num_inputs cover in
+      List.iter
+        (fun rows ->
+          let batch =
+            Serve.Wire.matrix_of_vectors
+              (Array.init rows (fun _ -> Array.init n_in (fun _ -> Util.Rng.bool rng)))
+          in
+          let inline = time_us (fun () -> Server.eval_engine server ~on_pool:false engine batch) in
+          let pool = time_us (fun () -> Server.eval_engine server ~on_pool:true engine batch) in
+          let work = Server.work engine ~rows in
+          if rows = 256 then small := (float work, inline, pool) :: !small;
+          Util.Tableau.add_row t
+            [
+              name;
+              string_of_int (Runtime.Cache.crosspoints compiled);
+              string_of_int rows;
+              string_of_int work;
+              Printf.sprintf "%.1f" inline;
+              Printf.sprintf "%.1f" pool;
+              (if Server.on_pool engine ~rows then "pool" else "inline");
+            ])
+        [ 256; 16384 ])
+    Mcnc.Generators.all;
+  Server.stop server;
+  Util.Tableau.print t;
+  let pts = Array.of_list !small in
+  let n = float (Array.length pts) in
+  let mean f = Array.fold_left (fun a p -> a +. f p) 0. pts /. n in
+  let mw = mean (fun (w, _, _) -> w) and mi = mean (fun (_, i, _) -> i) in
+  let slope =
+    mean (fun (w, i, _) -> (w -. mw) *. (i -. mi)) /. mean (fun (w, _, _) -> (w -. mw) ** 2.)
+  in
+  let fixed = mi -. (slope *. mw) in
+  let handoff = Util.Stats.percentile 50.0 (List.map (fun (_, i, p) -> p -. i) !small) in
+  Printf.printf
+    "inline cost at 256 vectors: %.2f us + %.2f ns per unit of work\n\
+     pool hand-off per request (median at 256 vectors): %.1f us\n\
+     break-even work (inline cost = hand-off): %.0f\n\
+     Server.pool_crossover: %d\n"
+    fixed (slope *. 1e3) handoff ((handoff -. fixed) /. slope) Server.pool_crossover
+
 (* --- espresso: the word-parallel cover kernel --------------------------------------------------- *)
 
 let quick_mode = ref false
@@ -1239,6 +1323,7 @@ let sections =
     ("parallel", run_parallel);
     ("espresso", run_espresso);
     ("sweep", run_sweep);
+    ("serve_crossover", run_serve_crossover);
     ("micro", run_micro);
   ]
 

@@ -948,6 +948,127 @@ let serve_matrix_transpose =
       && W.matrix_of_blocks ~rows ~width gathered = W.matrix_init ~rows ~width bit
       && String.equal (written_chunks ~chunk:c.tc_chunk m) chunks_ref)
 
+(* --- serve request fast path ---------------------------------------------- *)
+
+(* A few random covers, each sent as up to three texts (the rendering,
+   plus comment-prefixed variants: distinct texts of one cover), by
+   interleaved tenants with a random per-tenant quota. *)
+type text_index_case = {
+  ti_covers : Gens.cover_spec array;
+  ti_quota : int;
+  ti_ops : (int * int * int * bool array) list;  (* tenant, cover, variant, vector *)
+}
+
+let gen_text_index_case =
+  let open Gen in
+  let* n_covers = int_range 1 5 in
+  let* covers =
+    array_n n_covers (Gens.cover_spec ~widths:[ 1; 2; 3; 5; 8 ] ~max_out:3 ~max_cubes:6 ())
+  in
+  let* quota = int_range 1 4 in
+  let* n_ops = int_range 1 40 in
+  let op =
+    let* tenant = int_range 0 2 in
+    let* c = int_range 0 (n_covers - 1) in
+    let* variant = int_range 0 2 in
+    let* v = array_n covers.(c).Gens.cv_n_in bool in
+    return (tenant, c, variant, v)
+  in
+  let* ops = list_n n_ops op in
+  return { ti_covers = covers; ti_quota = quota; ti_ops = ops }
+
+let print_text_index_case c =
+  Printf.sprintf "quota=%d ops=%d covers=[%s]" c.ti_quota (List.length c.ti_ops)
+    (String.concat "; " (Array.to_list (Array.map Gens.print_cover_spec c.ti_covers)))
+
+let engine_eval engine v =
+  match engine with
+  | Runtime.Cache.Compiled c -> Runtime.Cache.eval c v
+  | Runtime.Cache.Uncompiled pla -> Cnfet.Pla.eval pla v
+
+(* Every reply through a tenant's text index equals the parse path (a
+   fresh cache's [evaluator] on the parsed cover) and [Pla.eval] on the
+   source cover; the second send of a text to a tenant whose cache still
+   holds its entry is a hit; and after every step, whatever the quota
+   evicted, each tenant's index holds at most [aliases_per_entry] texts
+   per entry. *)
+let serve_text_index =
+  Runner.make ~name:"serve/text-index" ~count:80
+    (Arb.make ~print:print_text_index_case gen_text_index_case)
+    (fun c ->
+      let module C = Runtime.Cache in
+      let caches = Array.init 3 (fun _ -> C.create ~capacity:c.ti_quota ()) in
+      let covers = Array.map Gens.cover_of_spec c.ti_covers in
+      let text i variant =
+        let f = covers.(i) in
+        String.make variant '#' ^ (if variant > 0 then "\n" else "")
+        ^ Logic.Pla_io.to_string ~on_set:f
+            ~dc_set:(Logic.Cover.empty ~n_in:(Logic.Cover.num_inputs f) ~n_out:(Logic.Cover.num_outputs f))
+            ()
+      in
+      List.for_all
+        (fun (tenant, i, variant, v) ->
+          let cache = caches.(tenant) and text = text i variant in
+          let parsed () = (Logic.Pla_io.parse text).Logic.Pla_io.on_set in
+          let indexed = C.text_cached cache text in
+          let engine, hit =
+            C.evaluator_of_text cache ~text ~check_arity:ignore ~parse:parsed
+          in
+          let reference, _ = C.evaluator (C.create ()) (parsed ()) in
+          let out = engine_eval engine v in
+          out = engine_eval reference v
+          && out = Cnfet.Pla.eval (Cnfet.Pla.of_cover covers.(i)) v
+          && ((not indexed) || hit)
+          && C.text_cached cache text
+          && Array.for_all
+               (fun k -> C.text_index_size k <= C.aliases_per_entry * C.size k)
+               caches)
+        c.ti_ops)
+
+(* The daemon's evaluation at batch sizes around the 63-lane block (0,
+   1, 62, 63, 64 and a partial last block) on both sides of the
+   inline/pool crossover, forced either way, for a compiled and an
+   uncompiled engine: every row equals [Pla.eval], and the routing rule
+   sends exactly the requests whose work reaches [pool_crossover] to the
+   pool. *)
+let serve_block_routes =
+  let gen =
+    let open Gen in
+    let* spec = Gens.cover_spec ~widths:[ 1; 4; 9; 17 ] ~max_out:9 () in
+    let* partial = int_range 65 200 in
+    let* vecs = array_n partial (array_n spec.Gens.cv_n_in bool) in
+    return (spec, vecs)
+  in
+  Runner.make ~name:"serve/block-routes" ~count:60
+    (Arb.make ~print:(fun (spec, vecs) ->
+         Printf.sprintf "%s, %d vectors" (Gens.print_cover_spec spec) (Array.length vecs)) gen)
+    (fun (spec, vecs) ->
+      let module S = Serve.Server in
+      let f = Gens.cover_of_spec spec in
+      let pla = Cnfet.Pla.of_cover f in
+      let engines =
+        [ Runtime.Cache.Compiled (Runtime.Cache.compile (Runtime.Cache.create ()) f); Runtime.Cache.Uncompiled pla ]
+      in
+      let server = S.create { S.default_config with jobs = Some 1 } in
+      Fun.protect ~finally:(fun () -> S.stop server) (fun () ->
+          List.for_all
+            (fun n ->
+              let rows = Array.sub vecs 0 n in
+              let batch = Serve.Wire.matrix_of_vectors rows in
+              let want = Array.map (Cnfet.Pla.eval pla) rows in
+              List.for_all
+                (fun engine ->
+                  S.on_pool engine ~rows:n = (S.work engine ~rows:n >= S.pool_crossover)
+                  && List.for_all
+                       (fun on_pool ->
+                         let got = S.eval_engine server ~on_pool engine batch in
+                         Serve.Wire.matrix_rows got = n
+                         && Array.for_all Fun.id
+                              (Array.mapi (fun r w -> Serve.Wire.matrix_row got r = w) want))
+                       [ false; true ])
+                engines)
+            [ 0; 1; 62; 63; 64; Array.length vecs ]))
+
 (* --- assess run artifacts ---------------------------------------------- *)
 
 type run_case =
@@ -1256,6 +1377,8 @@ let all =
     runtime_histogram_bound;
     serve_codec_roundtrip;
     serve_matrix_transpose;
+    serve_text_index;
+    serve_block_routes;
     classify_mapped_vs_reference;
     assess_run_roundtrip;
     sweep_pipeline_equivalence;

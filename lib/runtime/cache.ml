@@ -18,7 +18,12 @@
    least-recently-used at a fixed capacity, tracked by an intrusive
    doubly-linked list threaded through the entries (touch and evict are
    O(1); no full-table scan). All operations are guarded by a mutex so
-   batch workers can share one cache. *)
+   batch workers can share one cache.
+
+   A second index maps the digest of a program's source text to the
+   entry it compiled to, so a caller that already served that text once
+   skips the parse and the cover key ([evaluator_of_text]). Each entry
+   carries at most [aliases_per_entry] texts, and they leave with it. *)
 
 module Cover = Logic.Cover
 module Cube = Logic.Cube
@@ -87,21 +92,29 @@ type compiled = {
   and_rows : srow array;
   or_rows : srow array;
   inverted : bool array;
+  crosspoints : int;  (* non-Drop crosspoints: word ops per block *)
   bscratch : bscratch option Atomic.t;
   hw : Pla.hw Lazy.t;
 }
 
 let compile_pla pla =
+  let and_rows = compile_plane (Pla.and_plane pla) and or_rows = compile_plane (Pla.or_plane pla) in
+  let count rows =
+    Array.fold_left (fun acc s -> acc + Array.length s.s_pass + Array.length s.s_invert) 0 rows
+  in
   {
     pla;
-    and_rows = compile_plane (Pla.and_plane pla);
-    or_rows = compile_plane (Pla.or_plane pla);
+    and_rows;
+    or_rows;
     inverted = Array.init (Pla.num_outputs pla) (Pla.output_inverted pla);
+    crosspoints = count and_rows + count or_rows;
     bscratch = Atomic.make None;
     hw = lazy (Pla.build_hw pla);
   }
 
 let pla c = c.pla
+
+let crosspoints c = c.crosspoints
 
 let hw c = Lazy.force c.hw
 
@@ -250,11 +263,14 @@ let eval c inputs =
 
 (* Entries carry their own LRU links: [prev] points toward the head
    (most recently used), [next] toward the tail (the eviction victim).
-   Touch and evict are O(1) pointer splices under the cache lock. *)
+   Touch and evict are O(1) pointer splices under the cache lock. An
+   entry also lists the text digests that point at it, newest first, so
+   removing the entry removes them from the text index too. *)
 type entry = {
   ekey : key;
   compiled : compiled;
   check : int;
+  mutable aliases : string list;
   mutable prev : entry option;
   mutable next : entry option;
 }
@@ -267,9 +283,12 @@ let () =
       Some (Printf.sprintf "Cache.Corrupt_entry (key %s)" (Digest.to_hex key))
     | _ -> None)
 
+let aliases_per_entry = 2
+
 type t = {
   lock : Mutex.t;
   table : (key, entry) Hashtbl.t;
+  texts : (string, entry * int) Hashtbl.t;  (* text digest -> entry, n_in *)
   capacity : int;
   mutable head : entry option;  (* most recently used *)
   mutable tail : entry option;  (* least recently used *)
@@ -284,6 +303,7 @@ let create ?(capacity = 256) () =
   {
     lock = Mutex.create ();
     table = Hashtbl.create 64;
+    texts = Hashtbl.create 16;
     capacity;
     head = None;
     tail = None;
@@ -311,7 +331,9 @@ let push_front t e =
 
 let remove_entry t e =
   unlink t e;
-  Hashtbl.remove t.table e.ekey
+  Hashtbl.remove t.table e.ekey;
+  List.iter (Hashtbl.remove t.texts) e.aliases;
+  e.aliases <- []
 
 let evict_lru t =
   match t.tail with
@@ -320,57 +342,77 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
   | None -> ()
 
+(* Point [text] at [e], dropping it from whichever entry held it before
+   and dropping [e]'s oldest text past the per-entry bound. *)
+let add_alias t e (text, n_in) =
+  if not (List.mem text e.aliases) then begin
+    (match Hashtbl.find_opt t.texts text with
+    | Some (old, _) -> old.aliases <- List.filter (fun a -> a <> text) old.aliases
+    | None -> ());
+    let aliases = text :: e.aliases in
+    List.iteri (fun i a -> if i >= aliases_per_entry then Hashtbl.remove t.texts a) aliases;
+    e.aliases <- List.filteri (fun i _ -> i < aliases_per_entry) aliases;
+    Hashtbl.replace t.texts text (e, n_in)
+  end
+
+(* A rotten entry is counted and evicted, so a retry recompiles. *)
+let reject_rotten t e =
+  t.corruptions <- t.corruptions + 1;
+  remove_entry t e;
+  if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
+  raise (Corrupt_entry { key = e.ekey })
+
+(* Serve-time integrity check: never hand out an entry whose content no
+   longer matches the digest recorded at compile time. *)
+let serve_hit t e =
+  t.hits <- t.hits + 1;
+  unlink t e;
+  push_front t e;
+  if checksum_of_compiled e.compiled <> e.check then reject_rotten t e;
+  e.compiled
+
 (* Returns the compiled entry plus whether it was already cached, so
    callers that care (the serve layer reports cache_hit per request)
    get the answer for this call alone instead of racing on the shared
-   [hits] counter. *)
-let find_or_compile t key build =
+   [hits] counter. [alias] is attached to the entry under the same lock,
+   so it can never point at an entry already gone. *)
+let find_or_compile ?alias t key build =
   locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-        t.hits <- t.hits + 1;
-        unlink t e;
-        push_front t e;
-        (* Serve-time integrity check: never hand out an entry whose
-           content no longer matches the digest recorded at compile
-           time. The rotten entry is evicted so a retry recompiles. *)
-        if checksum_of_compiled e.compiled <> e.check then begin
-          t.corruptions <- t.corruptions + 1;
-          remove_entry t e;
-          if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
-          raise (Corrupt_entry { key })
-        end;
-        (e.compiled, true)
-      | None ->
-        t.misses <- t.misses + 1;
-        let compiled = Obs.Span.with_ "cache.compile" build in
-        let check = checksum_of_compiled compiled in
-        if Hashtbl.length t.table >= t.capacity then evict_lru t;
-        let e = { ekey = key; compiled; check; prev = None; next = None } in
-        Hashtbl.replace t.table key e;
-        push_front t e;
-        (* Chaos hook: a freshly stored entry may rot immediately. The
-           just-built value is the stored value, so verify before
-           returning it — the caller must never evaluate through a
-           corrupt entry. *)
-        (match Fault.Inject.tap (Fault.Inject.Cache_store { key }) with
-        | Fault.Inject.Corrupt -> corrupt_compiled compiled
-        | _ -> ());
-        if checksum_of_compiled compiled <> check then begin
-          t.corruptions <- t.corruptions + 1;
-          remove_entry t e;
-          if Obs.Span.enabled () then Obs.Span.instant "cache.corruption_detected";
-          raise (Corrupt_entry { key })
-        end;
-        (compiled, false))
+      let e, hit =
+        match Hashtbl.find_opt t.table key with
+        | Some e ->
+          ignore (serve_hit t e : compiled);
+          (e, true)
+        | None ->
+          t.misses <- t.misses + 1;
+          let compiled = Obs.Span.with_ "cache.compile" build in
+          let check = checksum_of_compiled compiled in
+          if Hashtbl.length t.table >= t.capacity then evict_lru t;
+          let e = { ekey = key; compiled; check; aliases = []; prev = None; next = None } in
+          Hashtbl.replace t.table key e;
+          push_front t e;
+          (* Chaos hook: a freshly stored entry may rot immediately. The
+             just-built value is the stored value, so verify before
+             returning it — the caller must never evaluate through a
+             corrupt entry. *)
+          (match Fault.Inject.tap (Fault.Inject.Cache_store { key }) with
+          | Fault.Inject.Corrupt -> corrupt_compiled compiled
+          | _ -> ());
+          if checksum_of_compiled compiled <> check then reject_rotten t e;
+          (e, false)
+      in
+      Option.iter (add_alias t e) alias;
+      (e.compiled, hit))
 
-let compile_hit t ?inverted_outputs cover =
+let cover_hit ?alias t ?inverted_outputs cover =
   let key = key_of_cover ?inverted_outputs cover in
-  find_or_compile t key (fun () -> compile_pla (Pla.of_cover ?inverted_outputs cover))
+  find_or_compile ?alias t key (fun () -> compile_pla (Pla.of_cover ?inverted_outputs cover))
+
+let compile_hit t ?inverted_outputs cover = cover_hit t ?inverted_outputs cover
 
 let compile t ?inverted_outputs cover = fst (compile_hit t ?inverted_outputs cover)
 
-let compile_of_pla_hit t pla_v =
+let pla_hit ?alias t pla_v =
   (* Key on the planes' programmed content rather than a source cover. *)
   let buf = Buffer.create 256 in
   let add_plane p =
@@ -389,7 +431,9 @@ let compile_of_pla_hit t pla_v =
     Buffer.add_char buf (if Pla.output_inverted pla_v o then '1' else '0')
   done;
   let key = Digest.string (Buffer.contents buf) in
-  find_or_compile t key (fun () -> compile_pla pla_v)
+  find_or_compile ?alias t key (fun () -> compile_pla pla_v)
+
+let compile_of_pla_hit t pla_v = pla_hit t pla_v
 
 let compile_of_pla t pla_v = fst (compile_of_pla_hit t pla_v)
 
@@ -402,24 +446,55 @@ type engine = Compiled of compiled | Uncompiled of Pla.t
    concurrent callers interleave. A rotten entry ([Corrupt_entry]
    self-evicts) gets one recompile; if the cover key rots twice in a
    row, the mapped PLA is compiled under its plane-content key (a
-   distinct entry) before giving up and evaluating uncompiled. *)
-let evaluator t cover =
-  match compile_hit t cover with
-  | compiled, hit -> (Compiled compiled, hit)
-  | exception Corrupt_entry _ -> (
-    match compile_hit t cover with
+   distinct entry) before giving up and evaluating uncompiled. [after_rot]
+   enters the chain at the recompile: the text index already found one
+   rotten entry. Whatever entry serves takes [alias]. *)
+let chain ?alias ~after_rot t cover =
+  let recompile () =
+    match cover_hit ?alias t cover with
     | compiled, hit -> (Compiled compiled, hit)
     | exception Corrupt_entry _ -> (
       let pla_v = Pla.of_cover cover in
-      match compile_of_pla_hit t pla_v with
+      match pla_hit ?alias t pla_v with
       | compiled, hit -> (Compiled compiled, hit)
-      | exception Corrupt_entry _ -> (Uncompiled pla_v, false)))
+      | exception Corrupt_entry _ -> (Uncompiled pla_v, false))
+  in
+  if after_rot then recompile ()
+  else
+    match cover_hit ?alias t cover with
+    | compiled, hit -> (Compiled compiled, hit)
+    | exception Corrupt_entry _ -> recompile ()
+
+let evaluator t cover = chain ~after_rot:false t cover
+
+(* Step zero: the text index, under the lock, with the arity check
+   before the hit is counted. *)
+let evaluator_of_text t ~text ~check_arity ~parse =
+  let digest = Digest.string text in
+  let found =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.texts digest with
+        | None -> `Miss
+        | Some (e, n_in) -> (
+          check_arity n_in;
+          match serve_hit t e with c -> `Hit c | exception Corrupt_entry _ -> `Rotten))
+  in
+  match found with
+  | `Hit c -> (Compiled c, true)
+  | (`Miss | `Rotten) as found ->
+    let cover = parse () in
+    chain
+      ~alias:(digest, Cover.num_inputs cover)
+      ~after_rot:(found = `Rotten) t cover
+
+let text_cached t text = locked t (fun () -> Hashtbl.mem t.texts (Digest.string text))
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
 let corruptions t = locked t (fun () -> t.corruptions)
 let size t = locked t (fun () -> Hashtbl.length t.table)
+let text_index_size t = locked t (fun () -> Hashtbl.length t.texts)
 
 let corrupt_for_test = corrupt_compiled
 

@@ -10,7 +10,9 @@
     bit-identical to [Pla.eval]) and the lazily-built switch-level
     netlist. Eviction is LRU at a
     fixed capacity, tracked by an intrusive doubly-linked list (touch
-    and evict are O(1)). Thread-safe. *)
+    and evict are O(1)). A text index maps program source texts to the
+    entries they compiled to ({!evaluator_of_text}), so a text seen
+    before skips the parse and the cover key. Thread-safe. *)
 
 type t
 
@@ -56,6 +58,10 @@ val compile_of_pla_hit : t -> Cnfet.Pla.t -> compiled * bool
 
 val pla : compiled -> Cnfet.Pla.t
 
+val crosspoints : compiled -> int
+(** Non-[Drop] crosspoints over both planes: the word ops one
+    {!eval_block} call costs, whatever its lane count. *)
+
 (** {2 Failure policy} *)
 
 type engine =
@@ -74,6 +80,47 @@ val evaluator : t -> Logic.Cover.t -> engine * bool
     how concurrent callers interleave. The flag is the per-call hit
     flag of the lookup that succeeded ([false] for [Uncompiled]).
     Results are bit-identical on either engine. *)
+
+(** {2 Text index}
+
+    A request that names its program by source text (the serve daemon's
+    [Eval_request]) would otherwise parse the text and digest the cover
+    on every call, though the answer never changes. The cache keeps a
+    second index from [Digest.string text] to the entry that text
+    compiled to, with the program's input count for the arity check.
+    Each entry carries at most {!aliases_per_entry} texts; they leave
+    the index when the entry leaves the cache (LRU eviction or rot), so
+    the index never holds more than [aliases_per_entry × size] texts and
+    never outlives an entry. Two texts of one cover still share one
+    entry through the cover key. The index holds digests, not covers or
+    texts. *)
+
+val aliases_per_entry : int
+(** 2: texts one entry answers for; a third evicts the oldest. *)
+
+val evaluator_of_text :
+  t ->
+  text:string ->
+  check_arity:(int -> unit) ->
+  parse:(unit -> Logic.Cover.t) ->
+  engine * bool
+(** {!evaluator} with the text index as step zero. On an index hit,
+    [check_arity n_in] runs first (it may raise to reject the request,
+    and then nothing is counted or touched); then the hit is counted,
+    the entry touched and its checksum verified, and neither [parse]
+    nor {!key_of_cover} runs. On a miss, [parse ()] supplies the cover
+    (it runs its own arity check; its exceptions pass through and
+    nothing enters the index) and {!evaluator}'s chain runs. A rotten
+    entry found through the index is evicted and counts as the chain's
+    first rot: the request parses and continues at the one recompile,
+    then the plane-content key, then [Uncompiled] — never more compiles
+    than {!evaluator}. Whichever entry serves the request takes the text
+    as an alias. [check_arity] runs under the cache lock, so it must
+    not touch the cache. *)
+
+val text_cached : t -> string -> bool
+(** Whether the index holds this text now (a trace annotation; a
+    concurrent request may change the answer at once). *)
 
 val eval : compiled -> bool array -> bool array
 (** Compiled functional evaluation of one vector, run as a one-lane
@@ -132,6 +179,9 @@ val corruptions : t -> int
 (** Checksum mismatches detected (and evicted) so far. *)
 
 val size : t -> int
+
+val text_index_size : t -> int
+(** Texts in the index; at most [aliases_per_entry × size]. *)
 
 val corrupt_for_test : compiled -> unit
 (** Deterministically rot a compiled entry in place {e without}

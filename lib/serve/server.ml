@@ -146,9 +146,23 @@ let parse_program program =
     raise (Reject (Wire.Parse_failed, Printf.sprintf "line %d: %s" line msg))
   | exception e -> raise (Reject (Wire.Parse_failed, Printexc.to_string e))
 
-(* Big batches go to the domain pool; tiny ones are cheaper inline than
-   the future round-trip. *)
-let parallel_threshold = 64
+(* Inline or pool by work, not by vector count. A compiled request
+   costs one word op per non-Drop crosspoint per 63-vector block; an
+   uncompiled one walks every crosspoint once per vector. Handing a
+   request's blocks to the pool costs tens of microseconds of futures
+   and wake-ups whatever the work, so below [pool_crossover] the
+   hand-off would cost more than the evaluation it spreads. The
+   constant is measured by [bench/main.exe serve_crossover]; see
+   EXPERIMENTS.md, "Serve request fast path". *)
+let pool_crossover = 16_000
+
+let work engine ~rows =
+  match engine with
+  | Cache.Compiled c ->
+    (rows + Cache.lanes_per_word - 1) / Cache.lanes_per_word * Cache.crosspoints c
+  | Cache.Uncompiled pla -> rows * Cnfet.Pla.crosspoint_count pla
+
+let on_pool engine ~rows = work engine ~rows >= pool_crossover
 
 type reply =
   | Stream of { outputs : Wire.matrix; cache_hit : bool; eval_ns : int64 }
@@ -157,12 +171,14 @@ type reply =
 (* The compiled path: every 63-vector block, the last one partial
    ([lanes < 63]), is gathered straight from the request matrix's packed
    bytes into lane words ([Wire.matrix_block]) and evaluated bit-sliced,
-   with one pool item per block when the batch is big enough. The reply
-   matrix comes straight from the output lane words
-   ([Wire.matrix_of_blocks]); both directions use the 8x8 bit-transpose
-   kernel. *)
-let eval_engine t engine batch =
+   with one pool item per block when [on_pool]. The reply matrix comes
+   straight from the output lane words ([Wire.matrix_of_blocks]); both
+   directions use the 8x8 bit-transpose kernel. *)
+let eval_engine t ~on_pool engine batch =
   let n = Wire.matrix_rows batch in
+  let map f items =
+    if on_pool then Runtime.Batch.map ~metrics:t.metrics t.pool f items else Array.map f items
+  in
   match engine with
   | Cache.Compiled compiled ->
     let lanes_max = Cache.lanes_per_word in
@@ -172,19 +188,10 @@ let eval_engine t engine batch =
       let lanes = min lanes_max (n - first) in
       Cache.eval_block compiled { Cache.words = Wire.matrix_block batch ~first ~lanes; lanes }
     in
-    let blocks =
-      if n >= parallel_threshold then
-        Runtime.Batch.map ~metrics:t.metrics t.pool eval_block (Array.init n_blocks Fun.id)
-      else Array.init n_blocks eval_block
-    in
+    let blocks = map eval_block (Array.init n_blocks Fun.id) in
     Wire.matrix_of_blocks ~rows:n ~width:(Cnfet.Pla.num_outputs (Cache.pla compiled)) blocks
   | Cache.Uncompiled pla ->
-    let eval_row i = Cnfet.Pla.eval pla (Wire.matrix_row batch i) in
-    let rows =
-      if n >= parallel_threshold then
-        Runtime.Batch.map ~metrics:t.metrics t.pool eval_row (Array.init n Fun.id)
-      else Array.init n eval_row
-    in
+    let rows = map (fun i -> Cnfet.Pla.eval pla (Wire.matrix_row batch i)) (Array.init n Fun.id) in
     Wire.matrix_init ~rows:n ~width:(Cnfet.Pla.num_outputs pla) (fun r o -> rows.(r).(o))
 
 (* Shared request wrapper: count, admit (or shed), cap the batch, and
@@ -214,39 +221,56 @@ let admitted t ~batch f =
       Metrics.incr t.c.request_crashes;
       One (Wire.Error_response { code = Wire.Internal; message = Printexc.to_string e }))
 
-(* Compile [cover] through the tenant's cache and its failure policy
-   ([Cache.evaluator]) and evaluate the batch, timing the whole thing.
-   The hit flag is the cache's answer for this lookup alone: diffing its
-   shared hit counter would race with concurrent requests on the same
-   tenant. *)
-let compile_and_eval t ~tenant ~batch ~n cover =
+(* Look the program up in the tenant's cache through its failure policy
+   ([lookup] is a [Cache.evaluator] call) and evaluate the batch, timing
+   the whole thing. The hit flag is the cache's answer for this lookup
+   alone: diffing its shared hit counter would race with concurrent
+   requests on the same tenant. *)
+let compile_and_eval t ~tenant ~batch ~n ?(args = fun _ -> []) lookup =
   let t0 = Obs.Clock.monotonic () in
+  let cache = Tenants.cache t.tenants tenant in
   let engine, cache_hit =
-    Obs.Span.with_ ~args:[ ("tenant", tenant) ] "serve.compile" (fun () ->
-        Cache.evaluator (Tenants.cache t.tenants tenant) cover)
+    Obs.Span.with_ ~args:(("tenant", tenant) :: args cache) "serve.compile" (fun () -> lookup cache)
   in
   (match engine with
   | Cache.Uncompiled _ -> Metrics.incr t.c.fallback_evals
   | Cache.Compiled _ -> ());
   let outputs =
     Obs.Span.with_ ~args:[ ("vectors", string_of_int n) ] "serve.eval" (fun () ->
-        eval_engine t engine batch)
+        eval_engine t ~on_pool:(on_pool engine ~rows:n) engine batch)
   in
   let eval_ns = Int64.sub (Obs.Clock.monotonic ()) t0 in
   Runtime.Histogram.observe t.eval_latency (Int64.to_float eval_ns *. 1e-9);
   Metrics.incr ~by:n t.c.vectors;
   Stream { outputs; cache_hit; eval_ns }
 
+(* The fast path: a program text the tenant's cache has served before is
+   found by its digest, so it is neither parsed nor keyed again
+   ([Cache.evaluator_of_text]). Only the slow path opens [serve.parse];
+   [serve.compile]'s [text_hit] arg says which path a traced request
+   took. *)
 let process t ~tenant ~program ~batch =
   admitted t ~batch (fun n ->
-      let spec = parse_program program in
-      if n > 0 && Wire.matrix_width batch <> spec.Logic.Pla_io.n_in then
-        raise
-          (Reject
-             ( Wire.Arity_mismatch,
-               Printf.sprintf "batch width %d, program has %d inputs"
-                 (Wire.matrix_width batch) spec.Logic.Pla_io.n_in ));
-      compile_and_eval t ~tenant ~batch ~n spec.Logic.Pla_io.on_set)
+      let width = Wire.matrix_width batch in
+      let check_arity n_in =
+        if n > 0 && width <> n_in then
+          raise
+            (Reject
+               ( Wire.Arity_mismatch,
+                 Printf.sprintf "batch width %d, program has %d inputs" width n_in ))
+      in
+      let parse () =
+        let spec = Obs.Span.with_ "serve.parse" (fun () -> parse_program program) in
+        check_arity spec.Logic.Pla_io.n_in;
+        spec.Logic.Pla_io.on_set
+      in
+      let args cache =
+        if Obs.Span.enabled () then
+          [ ("text_hit", string_of_bool (Cache.text_cached cache program)) ]
+        else []
+      in
+      compile_and_eval t ~tenant ~batch ~n ~args (fun cache ->
+          Cache.evaluator_of_text cache ~text:program ~check_arity ~parse))
 
 let process_classify t ~tenant ~model ~batch =
   admitted t ~batch (fun n ->
@@ -258,7 +282,8 @@ let process_classify t ~tenant ~model ~batch =
              ( Wire.Arity_mismatch,
                Printf.sprintf "batch width %d, model has %d features"
                  (Wire.matrix_width batch) n_features ));
-      compile_and_eval t ~tenant ~batch ~n mapped.Classify.Map.cover)
+      compile_and_eval t ~tenant ~batch ~n (fun cache ->
+          Cache.evaluator cache mapped.Classify.Map.cover))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions.                                                          *)

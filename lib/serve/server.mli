@@ -12,8 +12,15 @@
     daemon down: oversized frames, garbage bytes, mid-stream
     disconnects and poison programs all terminate or degrade only their
     own session, with the failure metered. Every stage is wrapped in an
-    {!Obs} span ([serve.session], [serve.decode], [serve.request],
-    [serve.admit], [serve.compile], [serve.eval], [serve.encode]). *)
+    {!Obs} span ([serve.session], [serve.decode], [serve.admit],
+    [serve.compile], [serve.parse], [serve.eval], [serve.encode]).
+
+    A program text the tenant has sent before takes the fast path: its
+    digest finds the compiled entry in the tenant's text index
+    ({!Runtime.Cache.evaluator_of_text}), so it is neither parsed nor
+    keyed again. Only the slow path opens [serve.parse], nested in
+    [serve.compile], whose [text_hit] arg records whether the index held
+    the text when the request arrived. *)
 
 type config = {
   jobs : int option;  (** evaluation pool size; [None] = cores - 1 *)
@@ -46,6 +53,25 @@ val tenants : t -> Tenants.t
 val pool : t -> Runtime.Pool.t
 
 (** {2 Serving} *)
+
+val pool_crossover : int
+(** Work (see {!work}) from which a request's blocks go to the pool;
+    below it the pool's per-request hand-off would cost more than the
+    evaluation. Measured by [bench/main.exe serve_crossover]. *)
+
+val work : Runtime.Cache.engine -> rows:int -> int
+(** A request's evaluation cost in crosspoint visits: 63-vector blocks
+    times the compiled entry's non-[Drop] crosspoints, or, uncompiled,
+    vectors times all of the PLA's crosspoints. *)
+
+val on_pool : Runtime.Cache.engine -> rows:int -> bool
+(** [work engine ~rows >= pool_crossover]: the routing rule
+    {!serve_session} applies to every request. *)
+
+val eval_engine : t -> on_pool:bool -> Runtime.Cache.engine -> Wire.matrix -> Wire.matrix
+(** Evaluate a batch on an engine, inline or one pool item per block
+    (per vector, uncompiled). Bit-identical to [Pla.eval] on every row
+    either way. *)
 
 val serve_session : t -> in_channel -> out_channel -> unit
 (** Run one client session until EOF, a framing error, or disconnect.

@@ -1,15 +1,18 @@
 (* Tests for the evaluation service over the pipe transport: wire codec
    edges the property battery can't pin down, happy-path serving with
    oracle-checked outputs, deterministic queue-full shedding, tenant
-   quota eviction accounting, a client dying mid-stream while another
-   session keeps being served, and clean shutdown draining inflight
-   work. No sockets — every session runs on Unix.pipe pairs. *)
+   quota eviction accounting, the program-text fast path (text index
+   hits, evictions, rot found through the index), a client dying
+   mid-stream while another session keeps being served, and clean
+   shutdown draining inflight work. No sockets — every session runs on
+   Unix.pipe pairs. *)
 
 module Wire = Serve.Wire
 module Server = Serve.Server
 module Admission = Serve.Admission
 module Tenants = Serve.Tenants
 module Pool = Runtime.Pool
+module Cache = Runtime.Cache
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -218,8 +221,7 @@ let test_happy_path () =
   checki "two ok responses" 2 s.Server.responses_ok
 
 let test_block_path_oracle () =
-  (* Batch sizes straddling the 63-lane block (and the 64-vector pool
-     threshold), programs whose input and output widths straddle byte
+  (* Batch sizes straddling the 63-lane block, programs whose input and output widths straddle byte
      boundaries, and a chunk size that divides none of the batches:
      every row of every reply must match Pla.eval, and the chunks must
      tile the batch in order. *)
@@ -457,6 +459,185 @@ let test_tenant_lru_eviction_metered () =
   checkb "alice survived" true
     (List.exists (fun (name, _) -> name = "alice") (Tenants.stats tenants))
 
+(* --- the program-text fast path ------------------------------------------------ *)
+
+let fast_config = { small_config with max_inflight = 4; queue_limit = 8; tenant_quota = 4 }
+
+let check_oracle what cover batch = function
+  | `Done (total, hit, chunks) ->
+    let oracle = Cnfet.Pla.of_cover cover in
+    checki (what ^ ": total") (Array.length batch) total;
+    List.iter
+      (fun (first, outputs) ->
+        for i = 0 to Wire.matrix_rows outputs - 1 do
+          checkb (what ^ ": oracle match") true
+            (Wire.matrix_row outputs i = Cnfet.Pla.eval oracle batch.(first + i))
+        done)
+      chunks;
+    hit
+  | `Shed -> Alcotest.fail (what ^ ": shed")
+  | `Error (_, m) -> Alcotest.fail (what ^ ": " ^ m)
+
+let test_text_index_hits () =
+  let server = Server.create fast_config in
+  let tenants = Server.tenants server in
+  let cover = Mcnc.Generators.majority 3 in
+  let text = pla_text cover in
+  let batch = all_vectors 3 in
+  let c = connect server in
+  checkb "first request misses" false
+    (check_oracle "first" cover batch (request c ~tenant:"t" ~program:text ~batch));
+  checkb "same text hits" true
+    (check_oracle "second" cover batch (request c ~tenant:"t" ~program:text ~batch));
+  let cache = Tenants.cache tenants "t" in
+  checki "one entry" 1 (Cache.size cache);
+  checki "one text" 1 (Cache.text_index_size cache);
+  (* a comment and input labels change the text, not the cover *)
+  let relabelled = "# the same majority\n.ilb a b c\n" ^ text in
+  checkb "another text of the cover hits its entry" true
+    (check_oracle "relabelled" cover batch (request c ~tenant:"t" ~program:relabelled ~batch));
+  checki "the two texts share one entry" 1 (Cache.size cache);
+  checki "both texts indexed" 2 (Cache.text_index_size cache);
+  checkb "the relabelled text now hits the index" true
+    (Cache.text_cached cache relabelled);
+  (* another tenant has its own index *)
+  checkb "same text misses under another tenant" false
+    (check_oracle "bob" cover batch (request c ~tenant:"bob" ~program:text ~batch));
+  finish c;
+  Server.stop server
+
+let test_text_index_eviction () =
+  (* quota 1: the second program evicts the first entry and its text,
+     and the first text then recompiles and answers correctly *)
+  let server = Server.create small_config in
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  let p1 = Mcnc.Generators.xor_n 3 and p2 = Mcnc.Generators.majority 3 in
+  let batch = all_vectors 3 in
+  let c = connect server in
+  let send cover = check_oracle "evict" cover batch (request c ~tenant:"t" ~program:(pla_text cover) ~batch) in
+  ignore (send p1 : bool);
+  checkb "p1 hits" true (send p1);
+  ignore (send p2 : bool);
+  checki "one entry left" 1 (Cache.size cache);
+  checkb "p1's text left with its entry" false (Cache.text_cached cache (pla_text p1));
+  checkb "bounded index" true
+    (Cache.text_index_size cache <= Cache.aliases_per_entry * Cache.size cache);
+  checkb "evicted text recompiles" false (send p1);
+  checkb "and hits again" true (send p1);
+  finish c;
+  Server.stop server
+
+let test_text_index_rejects () =
+  let server = Server.create fast_config in
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  let c = connect server in
+  for _ = 1 to 2 do
+    match request c ~tenant:"t" ~program:"this is not a pla" ~batch:[||] with
+    | `Error (Wire.Parse_failed, _) -> ()
+    | _ -> Alcotest.fail "an unparsable text answers Parse_failed every time"
+  done;
+  checki "an unparsable text never enters the index" 0 (Cache.text_index_size cache);
+  checki "nor the cache" 0 (Cache.size cache);
+  let cover = Mcnc.Generators.xor_n 3 in
+  let text = pla_text cover in
+  ignore (check_oracle "warm" cover (all_vectors 3) (request c ~tenant:"t" ~program:text ~batch:(all_vectors 3)) : bool);
+  let hits = Cache.hits cache in
+  (match request c ~tenant:"t" ~program:text ~batch:[| [| true; false |] |] with
+  | `Error (Wire.Arity_mismatch, _) -> ()
+  | _ -> Alcotest.fail "a cached text with the wrong batch width answers Arity_mismatch");
+  checki "a rejected request counts no hit" hits (Cache.hits cache);
+  checkb "and keeps its text" true (Cache.text_cached cache text);
+  finish c;
+  Server.stop server
+
+let test_text_index_rot () =
+  (* Cache_store rot through the daemon path: every reply is
+     bit-identical to Pla.eval, every rot is detected, no request
+     compiles more than the chain allows (three on a miss: cover key,
+     its recompile, plane key; two after a rotten hit), and a program
+     that ends up served compiled is a text-index hit from then on.
+     Then an entry rots in place and is found through the index: one
+     rot, one recompile. *)
+  let server = Server.create { fast_config with tenant_quota = 32; max_batch = 1000 } in
+  let cache = Tenants.cache (Server.tenants server) "t" in
+  let metrics = Runtime.Metrics.create () in
+  Cache.export_metrics cache metrics;
+  let detected () = List.assoc "cache.corruptions_detected" (Runtime.Metrics.gauges metrics) in
+  let c = connect server in
+  let programs = List.filter (fun (_, f) -> Logic.Cover.num_inputs f <= 8) Mcnc.Generators.all in
+  let send cover =
+    let n_in = Logic.Cover.num_inputs cover in
+    let batch = Array.init 70 (fun m -> Runtime.Batch.minterm n_in (m * 37 mod (1 lsl n_in))) in
+    let misses = Cache.misses cache in
+    let hit = check_oracle "rot" cover batch (request c ~tenant:"t" ~program:(pla_text cover) ~batch) in
+    (hit, Cache.misses cache - misses)
+  in
+  let parsed cover = (Logic.Pla_io.parse (pla_text cover)).Logic.Pla_io.on_set in
+  Fault.Inject.with_armed ~seed:3 { Fault.Inject.nothing with Fault.Inject.cache_corrupt = 0.5 }
+    (fun engine ->
+      let planted = ref 0 in
+      List.iter
+        (fun (name, cover) ->
+          let _, first = send cover in
+          checkb (name ^ ": at most three compiles") true (first <= 3);
+          let fallback = (Server.stats server).Server.fallback_evals in
+          let hit, compiles = send cover in
+          if (Server.stats server).Server.fallback_evals = fallback then begin
+            checkb (name ^ ": served compiled, then a text hit") true hit;
+            checki (name ^ ": a text hit compiles nothing") 0 compiles;
+            if first = 3 then begin
+              (* the cover key rots on every store, so the text points at
+                 the plane-content entry: rot that one in place *)
+              Cache.corrupt_for_test (Cache.compile_of_pla cache (Cnfet.Pla.of_cover (parsed cover)));
+              incr planted;
+              let _, compiles = send cover in
+              checki (name ^ ": index rot, then the recompile and the plane key") 2 compiles
+            end
+          end
+          else checkb (name ^ ": uncompiled again, at most three compiles") true (compiles <= 3))
+        programs;
+      let injected = List.assoc "cache_corrupt" (Fault.Inject.counts engine) in
+      checkb "the plan rotted some stores" true (injected > 0);
+      checkb "some text pointed at a plane-content entry" true (!planted > 0);
+      checki "every rot detected" (injected + !planted) (Cache.corruptions cache);
+      checkb "the gauge counts them" true (detected () = float (injected + !planted)));
+  let cover = Mcnc.Generators.gray ~bits:3 in
+  ignore (send cover : bool * int);
+  let rots = Cache.corruptions cache in
+  (* the daemon keys the cover it parsed from the text *)
+  Cache.corrupt_for_test (Cache.compile cache (parsed cover));
+  let hit, compiles = send cover in
+  checkb "a rotten index hit is not a hit" false hit;
+  checki "it counts as one rot" (rots + 1) (Cache.corruptions cache);
+  checki "and recompiles once" 1 compiles;
+  checkb "then hits again" true (fst (send cover));
+  finish c;
+  Server.stop server
+
+let test_trace_shows_path () =
+  (* serve.parse opens only on the slow path; serve.compile says which
+     path each request took *)
+  let server = Server.create fast_config in
+  let cover = Mcnc.Generators.xor_n 3 in
+  let c = connect server in
+  let t = Obs.Trace.create () in
+  Obs.Trace.install t;
+  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+      for _ = 1 to 2 do
+        ignore (check_oracle "traced" cover (all_vectors 3) (request c ~tenant:"t" ~program:(pla_text cover) ~batch:(all_vectors 3)) : bool)
+      done);
+  finish c;
+  Server.stop server;
+  let begins name =
+    List.filter
+      (fun e -> e.Obs.Event.name = name && e.Obs.Event.phase = Obs.Event.Begin)
+      (Obs.Trace.events t)
+  in
+  checki "one parse, on the miss" 1 (List.length (begins "serve.parse"));
+  checkb "compile spans say miss then text hit" true
+    (List.map (fun e -> List.assoc_opt "text_hit" e.Obs.Event.args) (begins "serve.compile")
+    = [ Some "false"; Some "true" ])
+
 (* --- session supervision ------------------------------------------------------ *)
 
 let test_disconnect_leaves_other_sessions_alive () =
@@ -527,6 +708,14 @@ let () =
         [
           Alcotest.test_case "entry quota eviction metered" `Quick test_tenant_quota_entry_eviction;
           Alcotest.test_case "tenant LRU eviction metered" `Quick test_tenant_lru_eviction_metered;
+        ] );
+      ( "text index",
+        [
+          Alcotest.test_case "same text hits, texts of one cover share" `Quick test_text_index_hits;
+          Alcotest.test_case "evicted text recompiles" `Quick test_text_index_eviction;
+          Alcotest.test_case "parse and arity rejects" `Quick test_text_index_rejects;
+          Alcotest.test_case "store and in-place rot through the index" `Quick test_text_index_rot;
+          Alcotest.test_case "trace shows the path" `Quick test_trace_shows_path;
         ] );
       ( "supervision",
         [
