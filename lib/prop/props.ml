@@ -650,6 +650,58 @@ let runtime_bitslice_vs_scalar =
       List.for_all blocked_matches [ 1; 17; 62; 63; 64; 126; 127 ]
       && Array.for_all2 (fun v want -> Runtime.Cache.eval compiled v = want) vecs scalar)
 
+(* --- cache rot detection ------------------------------------------------- *)
+
+(* Random covers, one in four with no cubes, so neither plane has a
+   crosspoint and the rot hook flips a polarity instead of swapping a
+   row's Pass and Invert lists. Rotting a cached entry in place must
+   make the next lookup under its key (the cover key or the
+   plane-content key) raise [Corrupt_entry], count exactly one
+   corruption and evict it; the recompile then evaluates like
+   [Pla.eval]. This pins the detection guarantee of the entry
+   checksum. *)
+let runtime_cache_rot =
+  let gen =
+    let open Gen in
+    let* spec =
+      frequency
+        [
+          (3, Gens.cover_spec ~widths:[ 1; 2; 3; 5; 9; 30; 63; 64; 80 ] ~max_out:4 ~max_cubes:12 ());
+          (1, Gens.cover_spec ~widths:[ 1; 4; 63 ] ~max_out:4 ~max_cubes:0 ());
+        ]
+    in
+    let* by_planes = bool in
+    let* vecs = array_n 70 (array_n spec.Gens.cv_n_in bool) in
+    return (spec, by_planes, vecs)
+  in
+  Runner.make ~name:"runtime/cache-rot-detected" ~count:80
+    (Arb.make
+       ~shrink:(fun (spec, by_planes, vecs) ->
+         Seq.map (fun s -> (s, by_planes, vecs)) (Gens.shrink_cover_spec spec))
+       ~print:(fun (spec, by_planes, _) ->
+         Printf.sprintf "%s\nkey: %s" (Gens.print_cover_spec spec)
+           (if by_planes then "planes" else "cover"))
+       gen)
+    (fun (spec, by_planes, vecs) ->
+      let module C = Runtime.Cache in
+      let f = Gens.cover_of_spec spec in
+      let pla = Cnfet.Pla.of_cover f in
+      let cache = C.create ~capacity:2 () in
+      let lookup () = if by_planes then C.compile_of_pla_hit cache pla else C.compile_hit cache f in
+      C.corrupt_for_test (fst (lookup ()));
+      let caught = match lookup () with _ -> false | exception C.Corrupt_entry _ -> true in
+      caught
+      && C.corruptions cache = 1
+      && C.size cache = 0
+      &&
+      let fresh, hit = lookup () in
+      let lanes = min C.lanes_per_word (Array.length vecs) in
+      let outs = C.untranspose (C.eval_block fresh (C.transpose vecs ~first:0 ~lanes)) ~lanes in
+      (not hit)
+      && C.corruptions cache = 1
+      && Array.for_all2 (fun v want -> C.eval fresh v = want) vecs (Array.map (Cnfet.Pla.eval pla) vecs)
+      && Array.for_all Fun.id (Array.init lanes (fun v -> outs.(v) = Cnfet.Pla.eval pla vecs.(v))))
+
 (* --- fixed-memory histograms ------------------------------------------- *)
 
 (* Positive samples, log-uniform over 10 ns .. 1000 s (inside the
@@ -1374,6 +1426,7 @@ let all =
     fpga_place_reference;
     trace_wellformed;
     runtime_bitslice_vs_scalar;
+    runtime_cache_rot;
     runtime_histogram_bound;
     serve_codec_roundtrip;
     serve_matrix_transpose;

@@ -7,6 +7,7 @@
     FPGA inverter absorption, the flat-array placer against the
     tuple/[Hashtbl] annealer it replaced, trace well-formedness over random span
     programs, bit-sliced blocked evaluation against scalar [Pla.eval],
+    detection of compiled-cache entries rotted in place,
     fixed-memory histogram percentiles against exact nearest rank,
     totality of the serve wire codec, the serve bit-matrix transposes
     against a per-bit reference, and lossless total parsing of
@@ -24,6 +25,7 @@ val all : Runner.t list
     [atpg/full-coverage], [repair/defect-map-revalidation],
     [crossbar/resolve-vs-hw], [folding/witness-valid],
     [fpga/inverter-absorption], [fpga/place-reference], [trace/wellformed],
-    [runtime/bitslice-vs-scalar], [runtime/histogram-bound],
+    [runtime/bitslice-vs-scalar], [runtime/cache-rot-detected],
+    [runtime/histogram-bound],
     [serve/codec-roundtrip], [serve/matrix-transpose],
     [assess/run-roundtrip]. *)
